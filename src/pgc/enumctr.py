@@ -11,8 +11,10 @@ Two routes to the same answers:
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import comb, gcd
+from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -24,8 +26,7 @@ from .liecore import (
     derived,
     is_field,
     lower_central_series,
-    smith_normal_form,
-    _matinv_unimodular,
+    smith_mod,
 )
 from .commat import BudgetExceeded, build_commutator_matrices, batch_rank_modp, rank
 
@@ -111,14 +112,33 @@ def _iter_points(fs, nvars, start, stop, step):
         yield tuple(digits)
 
 
-def rank_distribution(M, budget=DEFAULT_BUDGET, worker=0, workers=1):
+def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
     """{rank: #points x in F_q^nvars with rk M(x) = rank}. Deterministic
-    odometer order; worker w of W handles indices congruent to w mod W."""
+    odometer order. With workers > 1, worker w of W counts the indices
+    congruent to w mod W on a thread pool (the GF(p) kernel runs in numpy,
+    which releases the GIL) and the counts are merged; the result does not
+    depend on workers."""
     fs = M.fs
     n = M.nvars
     total = fs.q**n
     if total > budget:
         raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
+    if workers <= 1:
+        return _rank_shard(M, 0, 1)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        parts = list(ex.map(lambda w: _rank_shard(M, w, workers), range(workers)))
+    counts = {}
+    for part in parts:
+        for r, c in part.items():
+            counts[r] = counts.get(r, 0) + c
+    return counts
+
+
+def _rank_shard(M, worker, workers):
+    """rank_distribution restricted to indices congruent to worker mod workers."""
+    fs = M.fs
+    n = M.nvars
+    total = fs.q**n
     counts = {}
     if n == 0:
         # the single empty point: the zero matrix
@@ -147,15 +167,15 @@ def rank_distribution(M, budget=DEFAULT_BUDGET, worker=0, workers=1):
     return counts
 
 
-def rank_distribution_A(A, budget=DEFAULT_BUDGET):
+def rank_distribution_A(A, budget=DEFAULT_BUDGET, workers=1):
     """mu[i] = #{x in F_q^a : rk A(x) = i}."""
-    mu = rank_distribution(A, budget)
+    mu = rank_distribution(A, budget, workers)
     return CountVector(mu, q=A.fs.q, p=A.fs.p)
 
 
-def rank_distribution_B(B, budget=DEFAULT_BUDGET):
+def rank_distribution_B(B, budget=DEFAULT_BUDGET, workers=1):
     """nu[i] = #{y in F_q^b : rk B(y) = 2i}; skew ranks are even."""
-    raw = rank_distribution(B, budget)
+    raw = rank_distribution(B, budget, workers)
     nu = {}
     for r, n in raw.items():
         if r % 2:
@@ -168,7 +188,7 @@ def rank_distribution_B(B, budget=DEFAULT_BUDGET):
 # Theorem-B route
 
 
-def _field_setup(table, budget):
+def _field_setup(table):
     fs = table.ring
     _, c = lower_central_series(table)
     if c >= fs.p:
@@ -178,17 +198,18 @@ def _field_setup(table, budget):
     return adapted, ab, A, B
 
 
-def vectors_theoremB(table, budget=DEFAULT_BUDGET):
+def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     """(cc, ch) over GF(p^f): cc[i f] = mu[i] |Z| q^{-i},
-    ch[i f] = nu[i] |G/G'| q^{-2i}. All divisions must be exact."""
+    ch[i f] = nu[i] |G/G'| q^{-2i}. All divisions must be exact. workers
+    shards each census over threads (see rank_distribution)."""
     fs = table.ring
     assert is_field(fs)
-    adapted, ab, A, B = _field_setup(table, budget)
+    adapted, ab, A, B = _field_setup(table)
     a, b, h = ab.a, ab.b, table.h
     q, f = fs.q, fs.f
     zdim = h - a
-    mu = rank_distribution_A(A, budget)
-    nu = rank_distribution_B(B, budget)
+    mu = rank_distribution_A(A, budget, workers)
+    nu = rank_distribution_B(B, budget, workers)
     cc = {}
     for i, n in mu.items():
         cc[i * f] = _exact_div(n * q**zdim, q**i)
@@ -213,7 +234,7 @@ def class_number(table, budget=DEFAULT_BUDGET):
     tables through the dual route; k = |S| |Z| / |G'| either way."""
     if is_field(table.ring):
         fs = table.ring
-        adapted, ab, A, B = _field_setup(table, budget)
+        adapted, ab, A, B = _field_setup(table)
         mu = rank_distribution_A(A, budget)
         s = s_size_from_mu(mu.entries, ab.b, fs.q)
         zorder = fs.q ** (table.h - ab.a)
@@ -242,119 +263,6 @@ def _as_modular(table):
     raise ValueError("dual route requires Z/p^e or prime-field coefficients")
 
 
-class _Quotient:
-    """Coset representatives of (Z/m)^h modulo a subgroup, via SNF."""
-
-    def __init__(self, sub_gens, m, h):
-        rows = [[int(x) % m for x in v] for v in sub_gens]
-        rows += [[m if i == j else 0 for j in range(h)] for i in range(h)]
-        S, U, V = smith_normal_form(rows)
-        self.d = [S[i][i] for i in range(h)]
-        self.Vinv = _matinv_unimodular(V)
-        self.m = m
-        self.h = h
-        self.order = 1
-        for d in self.d:
-            self.order *= d
-
-    def reps(self):
-        """One representative per coset, deterministic order."""
-        h, m = self.h, self.m
-        t = [0] * h
-        while True:
-            vec = [0] * h
-            for i, ti in enumerate(t):
-                if ti:
-                    for j in range(h):
-                        vec[j] = (vec[j] + ti * self.Vinv[i][j]) % m
-            yield tuple(vec)
-            i = h - 1
-            while i >= 0:
-                t[i] += 1
-                if t[i] < self.d[i]:
-                    break
-                t[i] = 0
-                i -= 1
-            if i < 0:
-                return
-
-
-class _DualBasis:
-    """Cyclic data of a subgroup M of (Z/m)^h: generators g_i of order n_i
-    with M the internal direct sum of the <g_i>. Characters of M are residue
-    tuples (c_i), c_i mod n_i, pairing sum_i c_i a_i(v) m/n_i mod m."""
-
-    def __init__(self, gens, m, h):
-        rows = [[int(x) % m for x in v] for v in gens]
-        rows += [[m if i == j else 0 for j in range(h)] for i in range(h)]
-        S, U, V = smith_normal_form(rows)
-        self.m = m
-        self.h = h
-        self.V = V
-        dd = [S[i][i] for i in range(h)]
-        self.active = []  # (row of V^{-1} index, d_i, n_i, unit-inverse data)
-        Vinv = _matinv_unimodular(V)
-        self.gens = []
-        self.orders = []
-        self._dec = []
-        for i, d in enumerate(dd):
-            g = gcd(d, m)
-            n = m // g
-            if n == 1:
-                continue
-            self.gens.append(tuple(d * x % m for x in Vinv[i]))
-            self.orders.append(n)
-            dprime = d // g  # coprime to p
-            self._dec.append((i, g, n, pow(dprime, -1, n)))
-        self.order = 1
-        for n in self.orders:
-            self.order *= n
-
-    def coords(self, v):
-        """a_i with v = sum a_i g_i (a_i mod n_i); v must lie in M."""
-        w = [0] * self.h
-        for i in range(self.h):
-            if v[i]:
-                for j in range(self.h):
-                    w[j] += v[i] * self.V[i][j]
-        out = []
-        for (i, g, n, dinv) in self._dec:
-            wi = w[i] % self.m
-            if wi % g:
-                raise ValueError("vector outside the subgroup")
-            out.append((wi // g) * dinv % n)
-        return out
-
-    def characters(self):
-        """All residue tuples (c_i), odometer order."""
-        t = [0] * len(self.orders)
-        if not self.orders:
-            yield ()
-            return
-        while True:
-            yield tuple(t)
-            i = len(t) - 1
-            while i >= 0:
-                t[i] += 1
-                if t[i] < self.orders[i]:
-                    break
-                t[i] = 0
-                i -= 1
-            if i < 0:
-                return
-
-
-def _image_order(vectors, m, h):
-    """Order of the subgroup of (Z/m)^h generated by the vectors."""
-    rows = [[int(x) % m for x in v] for v in vectors]
-    rows += [[m if i == j else 0 for j in range(h)] for i in range(h)]
-    S, _, _ = smith_normal_form(rows)
-    denom = 1
-    for i in range(h):
-        denom *= S[i][i]
-    return m**h // denom
-
-
 def vectors_dual(table, budget=DEFAULT_BUDGET):
     """(cc, ch) by Theorem A over Z/p^e:
     cc_i = #{x in g/z : |im ad_x| = p^i} |z| p^{-i},
@@ -365,23 +273,28 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     if c >= p:
         raise ClassTooLarge(f"nilpotency class {c} >= p = {p}")
     z = centre(table)
-    quo = _Quotient(z.vectors, m, h)
     dsub = derived(table)
-    dual = _DualBasis(dsub.vectors, m, h)
-    if quo.order > budget or quo.order * dual.order > budget:
-        raise BudgetExceeded(
-            f"|g/z| = {quo.order}, |g'^| = {dual.order} exceed budget {budget}"
-        )
     zorder = z.order()
     gorder = m**h
+    quo_order = gorder // zorder
+    if quo_order > budget or quo_order * dsub.order() > budget:
+        raise BudgetExceeded(
+            f"|g/z| = {quo_order}, |g'^| = {dsub.order()} exceed budget {budget}"
+        )
 
-    # class side: |im ad_x| over coset representatives
+    # class side: |im ad_x| over coset representatives sum_i t_i Vinv_i
+    dz, _, Vz = smith_mod(z.vectors, m, h)
+    reps = [
+        tuple(sum(t * row[j] for t, row in zip(ts, Vz)) % m for j in range(h))
+        for ts in product(*(range(d) for d in dz))
+    ]
     cc_raw = {}
-    reps = list(quo.reps())
     for x in reps:
         imgs = [table.bracket(table.basis_vector(j), x) for j in range(h)]
         imgs = [v for v in imgs if any(v)]
-        size = _image_order(imgs, m, h) if imgs else 1
+        size = 1
+        for d in smith_mod(imgs, m, h)[0]:
+            size *= m // d
         i = 0
         s = size
         while s > 1:
@@ -392,27 +305,44 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     cc = {i: _exact_div(n * zorder, p**i) for i, n in cc_raw.items()}
 
     # character side: radical size of the induced form for each character.
+    # g' is the sum of the <d_i Vinv_i>, d_i < m; a character is a residue
+    # tuple (c_i mod m/d_i) pairing v to sum_i c_i (v V)_i mod m, and
+    # (v V)_i / d_i are the coordinates of v.
+    dd, Vd, _ = smith_mod(dsub.vectors, m, h)
+    active = [i for i, d in enumerate(dd) if d != m]
+    weights = [dd[i] for i in active]
+
+    def coords(v):
+        w = [0] * h
+        for i in range(h):
+            if v[i]:
+                for j in range(h):
+                    w[j] += v[i] * Vd[i][j]
+        out = []
+        for i in active:
+            wi = w[i] % m
+            if wi % dd[i]:
+                raise ValueError("vector outside the subgroup")
+            out.append(wi // dd[i])
+        return out
+
     # coordinates of [x, e_j] in the dual basis, per representative
-    bracket_coords = []
-    for x in reps:
-        row = []
-        for j in range(h):
-            v = table.bracket(x, table.basis_vector(j))
-            row.append(dual.coords(v))
-        bracket_coords.append(row)
-    t = len(dual.orders)
-    weights = [m // n for n in dual.orders]
+    bracket_coords = [
+        [coords(table.bracket(x, table.basis_vector(j))) for j in range(h)]
+        for x in reps
+    ]
+    t = len(active)
     ch_raw = {}
-    for chi in dual.characters():
+    for chi in product(*(range(m // d) for d in weights)):
         rad = 0
         for row in bracket_coords:
             ok = True
-            for coords in row:
+            for coords_j in row:
                 s = 0
                 for i in range(t):
                     ci = chi[i]
-                    if ci and coords[i]:
-                        s += ci * coords[i] * weights[i]
+                    if ci and coords_j[i]:
+                        s += ci * coords_j[i] * weights[i]
                 if s % m:
                     ok = False
                     break
@@ -420,7 +350,7 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
                 rad += 1
         # rad = |Rad(B_omega)| as a subgroup of g/z; find i with
         # rad = |g/z| p^{-2i}
-        ratio = _exact_div(quo.order, rad)
+        ratio = _exact_div(quo_order, rad)
         i2 = 0
         s = ratio
         while s > 1:

@@ -220,27 +220,6 @@ def in_span(rows, v, fs):
     return len(echelon(list(rows) + [v], fs)) == len(echelon(rows, fs))
 
 
-def solve_in_span(rows, v, fs):
-    """Coefficients c with sum c_i rows_i = v, or None. rows independent."""
-    n = len(rows)
-    if n == 0:
-        return [] if all(fs.is_zero(x) for x in v) else None
-    aug = [list(r) + [fs.one() if t == i else fs.zero() for t in range(n)]
-           for i, r in enumerate(rows)]
-    w = len(v)
-    ech = echelon(aug, fs)
-    # reduce v against the echelon rows
-    vv = list(v) + [fs.zero()] * n
-    for row in ech:
-        pc = next(c for c in range(w) if not fs.is_zero(row[c]))
-        if not fs.is_zero(vv[pc]):
-            f = vv[pc]
-            vv = [fs.sub(x, fs.mul(f, y)) for x, y in zip(vv, row)]
-    if any(not fs.is_zero(x) for x in vv[:w]):
-        return None
-    return [fs.neg(x) for x in vv[w:]]
-
-
 def invert_matrix(rows, fs):
     """Inverse of a square matrix given as a list of rows."""
     n = len(rows)
@@ -264,37 +243,35 @@ def invert_matrix(rows, fs):
 def smith_normal_form(A):
     """S = U A V with U, V unimodular, S diagonal, d_i | d_{i+1}, d_i >= 0.
 
-    Returns (S, U, V) as lists of lists of ints.
+    Only the column side is tracked: returns (S, V, Vinv) as lists of
+    lists of ints, with Vinv the exact inverse of V. U is not built.
     """
     n = len(A)
     m = len(A[0]) if n else 0
     S = [list(r) for r in A]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
     V = [[int(i == j) for j in range(m)] for i in range(m)]
+    Vinv = [[int(i == j) for j in range(m)] for i in range(m)]
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in S:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def addmul_row(dst, src, c):
         S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
-        U[dst] = [x + c * y for x, y in zip(U[dst], U[src])]
 
     def addmul_col(dst, src, c):
         for r in S:
             r[dst] += c * r[src]
         for r in V:
             r[dst] += c * r[src]
-
-    def negate_row(i):
-        S[i] = [-x for x in S[i]]
-        U[i] = [-x for x in U[i]]
+        # V <- V (I + c E_src,dst), so Vinv <- (I - c E_src,dst) Vinv
+        Vinv[src] = [x - c * y for x, y in zip(Vinv[src], Vinv[dst])]
 
     t = 0
     while t < min(n, m):
@@ -340,13 +317,24 @@ def smith_normal_form(A):
             addmul_row(t, bad, 1)
             continue
         if S[t][t] < 0:
-            negate_row(t)
+            S[t] = [-x for x in S[t]]
         t += 1
-    return S, U, V
+    return S, V, Vinv
 
 
-def _diag(S):
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0))]
+def smith_mod(vectors, m, h):
+    """Smith data (d, V, Vinv) of the subgroup M of (Z/m)^h generated by
+    the vectors: the SNF of the vectors stacked on m I_h.
+
+    Every d_i divides m. M is the direct sum of the <d_i Vinv_i> (rows of
+    Vinv), of orders m / d_i; v in M has coordinates (v V)_i / d_i. The
+    quotient (Z/m)^h / M is the sum of the Z/d_i, with coset
+    representatives sum_i t_i Vinv_i, 0 <= t_i < d_i.
+    """
+    rows = [[int(x) % m for x in v] for v in vectors]
+    rows += [[m if i == j else 0 for j in range(h)] for i in range(h)]
+    S, V, Vinv = smith_normal_form(rows)
+    return [S[i][i] for i in range(h)], V, Vinv
 
 
 class SubspaceBasis:
@@ -391,67 +379,30 @@ def span_mod(vectors, ring, h):
     """Canonical generators and cyclic orders of the subgroup of (Z/m)^h
     generated by the given vectors."""
     m = ring.m
-    rows = [[int(x) % m for x in v] for v in vectors]
-    rows += [[m if i == j else 0 for j in range(h)] for i in range(h)]
-    S, U, V = smith_normal_form(rows)
-    Vinv_rows = _matinv_unimodular(V)
-    gens, orders = [], []
-    for i, d in enumerate(_diag(S)):
-        if d == 0:
-            continue
-        o = m // gcd(d, m)
-        if o == 1:
-            continue
-        gens.append(tuple((d * x) % m for x in Vinv_rows[i]))
-        orders.append(o)
-    return SubspaceBasis(ring, h, gens, orders)
-
-
-def _matinv_unimodular(M):
-    """Exact inverse of a unimodular integer matrix, as rows of ints."""
-    n = len(M)
-    from fractions import Fraction
-
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(M)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if aug[r][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    out = []
-    for r in range(n):
-        row = aug[r][n:]
-        assert all(x.denominator == 1 for x in row)
-        out.append([int(x) for x in row])
-    return out
+    d, _, Vinv = smith_mod(vectors, m, h)
+    gens = [tuple(di * x % m for x in row) for di, row in zip(d, Vinv) if di != m]
+    return SubspaceBasis(ring, h, gens, [m // di for di in d if di != m])
 
 
 def kernel_mod(C, ring):
-    """Generators and orders of {x in (Z/m)^n : x C = 0 mod m}."""
+    """Generators and orders of {x in (Z/m)^n : x C = 0 mod m}.
+
+    With S = U C^T V, x C = 0 iff y = V^{-1} x^T has d_i y_i = 0 mod m, so
+    the generators are the columns of V, column i scaled by m / gcd(d_i, m);
+    d_i = 0 (or i past the diagonal) leaves y_i free, of order m."""
     m = ring.m
     n = len(C)
     if n == 0:
         return [], []
-    S, U, V = smith_normal_form([list(r) for r in C])
-    dd = _diag(S)
-    r = sum(1 for d in dd if d != 0)
+    S, V, _ = smith_normal_form([list(col) for col in zip(*C)])
     gens, orders = [], []
     for i in range(n):
-        if i < r:
-            g = gcd(dd[i], m)
-            if g == 1:
-                continue
-            step = m // g
-            gens.append(tuple((step * x) % m for x in U[i]))
-            orders.append(g)
-        else:
-            gens.append(tuple(x % m for x in U[i]))
-            orders.append(m)
+        g = gcd(S[i][i], m) if i < len(S) else m
+        if g == 1:
+            continue
+        step = m // g
+        gens.append(tuple(step * row[i] % m for row in V))
+        orders.append(g)
     return gens, orders
 
 

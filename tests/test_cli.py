@@ -1,7 +1,8 @@
 """The `.lie` format and the `pgc` command line driver.
 
 Subcommands are exercised through run(argv) in-process.  Subprocess
-tests check `python -m pgc.cli` and the `pgc` console-script entry point
+tests check `python -m pgc`, `python -m pgc.cli` and the `pgc`
+console-script entry point
 from `pyproject.toml`, run from source the way the installed wrapper
 calls it; the check on the installed `pgc` executable itself runs only
 where one is on PATH.
@@ -455,6 +456,21 @@ def test_verify_detects_wrong_closed_form(tmp_path, capsys):
     assert "k differs" in out
 
 
+def test_verify_extension_field_free_table(tmp_path, capsys):
+    # closed forms are keyed by exponents of q = 9, the other routes by
+    # exponents of p = 3
+    f = str(tmp_path / "f22_q9.lie")
+    assert run(["free", "-r", "2", "-c", "2", "-p", "3", "-f", "2",
+                "--emit", f]) == 0
+    assert "name f(2,2)\nring p=3 f=2\n" in pathlib.Path(f).read_text()
+    capsys.readouterr()
+    assert run(["verify", f]) == 0
+    out = capsys.readouterr().out
+    assert "MISMATCH" not in out
+    assert "verify: 4 paths agree" in out
+    assert "path closed" in out
+
+
 def test_verify_modular_table(tmp_path, capsys):
     assert run(["verify", _write(tmp_path, HEIS_Z9)]) == 0
     out = capsys.readouterr().out
@@ -515,6 +531,14 @@ def test_console_script_installed():
     code = (f"import sys; from {module} import {func}; "
             f"sys.argv[0] = 'pgc'; sys.exit({func}())")
     _check_entry_point([sys.executable, "-c", code])
+
+
+def test_python_m_pgc():
+    r = subprocess.run([sys.executable, "-m", "pgc", "-h"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("usage: pgc")
+    assert r.stderr == ""
 
 
 @pytest.mark.skipif(shutil.which("pgc") is None,

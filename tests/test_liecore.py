@@ -1,5 +1,7 @@
 """Structure-constant tables: validation, series, adapted bases, SNF."""
 
+from itertools import product
+
 import pytest
 
 from pgc import (
@@ -9,7 +11,8 @@ from pgc import (
     adapt_basis, is_adapted, base_change, smith_normal_form,
     free_table, vectors_theoremB,
 )
-from conftest import heisenberg, field_pool
+from pgc.liecore import smith_mod, span_mod, kernel_mod
+from conftest import heisenberg, field_pool, modular_pool
 
 
 def test_bracket_folding_and_antisymmetry():
@@ -94,16 +97,118 @@ def test_base_change_extends_scalars():
 
 def test_smith_normal_form_known():
     A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    S, U, V = smith_normal_form(A)
+    S, V, Vinv = smith_normal_form(A)
     d = [S[i][i] for i in range(3)]
     assert d == [2, 2, 156]
     for i in range(3):
         for j in range(3):
             if i != j:
                 assert S[i][j] == 0
+    assert _matmul(V, Vinv) == _identity(3)
 
 
 def test_smith_divisibility_chain():
     A = [[6, 10], [15, 4]]
     S, _, _ = smith_normal_form(A)
     assert S[1][1] % S[0][0] == 0
+
+
+# ---------------------------------------------------------------------------
+# subgroups of (Z/m)^h against brute-force enumeration
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _matmul(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _generated(gens, m, h):
+    """The subgroup of (Z/m)^h generated by gens, by closure."""
+    zero = (0,) * h
+    seen, todo = {zero}, [zero]
+    while todo:
+        v = todo.pop()
+        for g in gens:
+            w = tuple((x + y) % m for x, y in zip(v, g))
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+# (p, e, h, generators) in (Z/p^e)^h; h <= 3, p^e <= 27
+SUBGROUP_CASES = [
+    (3, 2, 3, [(3, 0, 0)]),
+    # non-split, like the centre x2 = -3 x4 of [e1,e2] = e3, [e1,e4] = 3 e3
+    (3, 2, 3, [(6, 1, 0)]),
+    (3, 2, 3, [(3, 3, 0), (0, 3, 0)]),
+    (3, 2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (3, 3, 3, [(9, 3, 1), (0, 9, 0)]),
+    (3, 3, 2, [(3, 6), (9, 0)]),
+    (5, 2, 3, [(5, 10, 0), (0, 5, 1)]),
+    (2, 3, 2, [(2, 4), (4, 2)]),
+    (5, 1, 3, [(1, 2, 3), (2, 4, 1)]),
+    (3, 3, 3, []),
+]
+
+
+@pytest.mark.parametrize("p,e,h,gens", SUBGROUP_CASES)
+def test_smith_mod_subgroup_and_cosets(p, e, h, gens):
+    m = p**e
+    M = _generated(gens, m, h)
+    d, V, Vinv = smith_mod(gens, m, h)
+    assert _matmul(V, Vinv) == _identity(h)
+    assert all(m % di == 0 for di in d)
+    sub = span_mod(gens, ModRing(p, e), h)
+    assert sub.order() == len(M)
+    assert _generated(sub.vectors, m, h) == M
+    for g, o in zip(sub.vectors, sub.orders):
+        assert len(_generated([g], m, h)) == o
+    # coset representatives sum_i t_i Vinv_i, 0 <= t_i < d_i: one per coset
+    reps = [tuple(sum(t * row[j] for t, row in zip(ts, Vinv)) % m
+                  for j in range(h))
+            for ts in product(*(range(di) for di in d))]
+    assert len(reps) * len(M) == m**h
+    cosets = {frozenset(tuple((x + y) % m for x, y in zip(r, v)) for v in M)
+              for r in reps}
+    assert len(cosets) == len(reps)
+    # coordinates (v V)_i / d_i are integers exactly on M
+    for v in M:
+        w = _matmul([list(v)], V)[0]
+        assert all(wi % m % di == 0 for wi, di in zip(w, d))
+
+
+# (p, e, C) with C an n x w matrix over Z/p^e, n <= 3
+KERNEL_CASES = [
+    (3, 2, [[3, 1], [0, 3], [6, 0]]),
+    (3, 3, [[9, 3, 0], [3, 0, 1]]),
+    (5, 1, [[1, 2], [2, 4]]),
+    (2, 3, [[2], [4], [0]]),
+    (3, 2, [[0, 0], [0, 0]]),
+    (5, 2, [[5, 0, 10], [0, 5, 0], [10, 5, 5]]),
+]
+
+
+@pytest.mark.parametrize("p,e,C", KERNEL_CASES)
+def test_kernel_mod_brute_force(p, e, C):
+    m, n = p**e, len(C)
+    want = {x for x in product(range(m), repeat=n)
+            if all(sum(xi * row[j] for xi, row in zip(x, C)) % m == 0
+                   for j in range(len(C[0])))}
+    gens, orders = kernel_mod(C, ModRing(p, e))
+    assert _generated(gens, m, n) == want
+    for g, o in zip(gens, orders):
+        assert len(_generated([g], m, n)) == o
+
+
+def test_centre_order_brute_force():
+    for t in modular_pool():
+        m, h = t.ring.m, t.h
+        want = sum(
+            1 for x in product(range(m), repeat=h)
+            if all(not any(t.bracket(t.basis_vector(i), x)) for i in range(h)))
+        assert centre(t).order() == want
+
