@@ -36,7 +36,7 @@ from .commat import (
     BudgetExceeded,
     build_commutator_matrices,
     rank,
-    batch_rank_modp,
+    batch_rank,
     pfaffian,
     projective_points,
     projective_rank_census,

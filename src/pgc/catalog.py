@@ -134,7 +134,8 @@ def pfaffian_case_vectors(table, q=None, budget=DEFAULT_BUDGET):
     the projective points of rank a-2; the three nonzero entries of each
     vector follow in closed form. Raises HypothesesFailed otherwise."""
     fs = table.ring
-    assert is_field(fs)
+    if not is_field(fs):
+        raise ValueError("pfaffian_case_vectors requires a field table")
     if q is not None and q != fs.q:
         raise ValueError(f"q = {q} does not match the table's field {fs.q}")
     q = fs.q

@@ -8,6 +8,9 @@ sizes, of B character degrees.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
+
 import numpy as np
 
 from .liecore import is_field, is_adapted
@@ -53,17 +56,6 @@ class LinearFormMatrix:
                 row.append(acc)
             out.append(tuple(row))
         return out
-
-    def constant_matrices(self):
-        """Per-variable integer matrices (prime fields only), shape
-        (nvars, rows, cols); M(x) = sum_v x_v mats[v]."""
-        assert self.fs.f == 1
-        mats = np.zeros((self.nvars, self.rows, self.cols), dtype=np.int64)
-        for r in range(self.rows):
-            for c in range(self.cols):
-                for v in range(self.nvars):
-                    mats[v, r, c] = self.coeffs[r][c][v]
-        return mats
 
     def __str__(self):
         names = [f"V{v+1}" for v in range(self.nvars)]
@@ -140,34 +132,122 @@ def rank(matrix, fs):
     return rk
 
 
-def batch_rank_modp(M, p):
-    """Ranks of a batch of matrices over F_p; M has shape (N, R, C), int64,
-    entries already reduced. Vectorized elimination, destroys M."""
+# Element tables are O(q) int64 arrays, so larger fields are refused; only
+# nvars = 1 or a raised budget lets q^n <= budget reach them.
+_MAX_TABLE_Q = 1 << 20
+
+
+def check_points(fs, n, budget):
+    """Raise BudgetExceeded unless q^n fits the budget and an int64 index."""
+    total = fs.q**n
+    if total > budget:
+        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
+    if total >= 1 << 63:
+        raise BudgetExceeded(f"q^n = {total} does not fit a 64-bit point index")
+
+
+def _powers(fs, g):
+    """Codes of g^0 .. g^(q-2), by doubling: the block k..2k-1 is the block
+    0..k-1 times g^k, a linear map on the base-p digits."""
+    p, q = fs.p, fs.q
+    pw = p ** np.arange(fs.f, dtype=np.int64)
+    out = np.ones(1, dtype=np.int64)
+    gk = fs.from_int(g)
+    while out.size < q - 1:
+        T = np.array([fs.mul(fs.from_int(int(w)), gk) for w in pw], dtype=np.int64)
+        digits = (out[:, None] // pw) % p
+        out = np.concatenate([out, (digits @ T) % p @ pw])
+        gk = fs.mul(gk, gk)
+    return out[: q - 1]
+
+
+@lru_cache(maxsize=4)
+def _arith(fs):
+    """(axpy, mul, ninv) on int64 arrays of elements coded by fs.to_int:
+    axpy(x, a, y) = x + a y, mul(a, y) = a y, ninv[a] = -1/a (ninv[0] = 0).
+    Prime fields use residues mod p. GF(p^f) multiplies through log and
+    antilog arrays of length O(q) and adds digit by digit mod p."""
+    p, q = fs.p, fs.q
+    if q > _MAX_TABLE_Q:
+        raise BudgetExceeded(f"GF({q}) exceeds the {_MAX_TABLE_Q}-element table limit")
+    if fs.f == 1:
+        ninv = np.array([0] + [p - pow(v, p - 2, p) for v in range(1, p)], np.int64)
+        ninv.setflags(write=False)
+        return (lambda x, a, y: (x + a * y) % p), (lambda a, y: a * y % p), ninv
+    for g in range(2, q):
+        exp = _powers(fs, g)
+        if not (exp[1:] == 1).any():  # g is primitive
+            break
+    # log[0] points past the doubled antilog array into its zero tail, so a
+    # product with a zero factor reads 0
+    log = np.empty(q, dtype=np.int64)
+    log[exp] = np.arange(q - 1)
+    log[0] = 2 * (q - 1)
+    antilog = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+    antilog[: 2 * (q - 1)] = np.tile(exp, 2)
+    ninv = np.zeros(q, dtype=np.int64)  # -1 = g^((q-1)/2), or 1 when p = 2
+    ninv[exp] = exp[(-np.arange(q - 1) + (q - 1) // 2 * (p != 2)) % (q - 1)]
+    pw = [p**k for k in range(fs.f)]
+    for arr in (log, antilog, ninv):
+        arr.setflags(write=False)
+
+    def mul(a, y):
+        return antilog[log[a] + log[y]]
+
+    def axpy(x, a, y):
+        z = mul(a, y)
+        return sum(((x // w + z // w) % p) * w for w in pw)
+
+    return axpy, mul, ninv
+
+
+def batch_rank(M, fs):
+    """Ranks of a batch of matrices over fs; M has shape (N, R, C), int64,
+    entries coded by fs.to_int. Vectorised elimination, destroys M."""
     N, R, C = M.shape
     ranks = np.zeros(N, dtype=np.int64)
-    if R == 0 or C == 0 or N == 0:
+    if R == 0:
         return ranks
-    inv = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)], dtype=np.int64)
-    rowidx = np.arange(R)
+    axpy, mul, ninv = _arith(fs)
+    rows, mats = np.arange(R), np.arange(N)
     for col in range(C):
-        colvals = M[:, :, col]
-        cand = (colvals != 0) & (rowidx[None, :] >= ranks[:, None])
+        cand = (M[:, :, col] != 0) & (rows >= ranks[:, None])
         has = cand.any(axis=1)
-        idx = np.nonzero(has)[0]
-        if idx.size == 0:
-            continue
-        piv = np.argmax(cand[idx], axis=1)
-        r0 = ranks[idx]
-        tmp = M[idx, piv].copy()
-        M[idx, piv] = M[idx, r0]
-        M[idx, r0] = tmp
-        pivrow = (tmp * inv[tmp[:, col]][:, None]) % p
-        M[idx, r0] = pivrow
-        factors = M[idx, :, col].copy()
-        factors[np.arange(idx.size), r0] = 0
-        M[idx] = (M[idx] - factors[:, :, None] * pivrow[:, None, :]) % p
-        ranks[idx] += 1
+        piv, r0 = cand.argmax(axis=1), np.minimum(ranks, R - 1)
+        tmp = M[mats, piv]
+        M[mats, piv] = M[mats, r0]
+        # Only rows from the new rank on and columns right of col are read
+        # again, so row r0 and column col are left stale. A matrix with no
+        # pivot in col has 0 there in every such row: zero factors leave
+        # them as they are, whatever tmp holds.
+        pivrow = mul(tmp[:, col + 1 :], ninv[tmp[:, col]][:, None])
+        M[:, :, col + 1 :] = axpy(
+            M[:, :, col + 1 :], M[:, :, col][:, :, None], pivrow[:, None, :]
+        )
+        ranks += has
     return ranks
+
+
+def projective_ranks(M, lead, start, stop):
+    """Ranks of M at the monic points whose first nonzero coordinate is
+    `lead`, numbered start..stop-1 in projective_points order (the free
+    coordinates after lead are the base-q digits, last fastest)."""
+    fs = M.fs
+    q, free = fs.q, M.nvars - lead - 1
+    codes = np.array(  # M(x) = sum_v x_v codes[v]
+        [[fs.to_int(x[v]) for row in M.coeffs for x in row] for v in range(M.nvars)],
+        dtype=np.int64,
+    ).reshape(M.nvars, M.rows * M.cols)
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = (idx[:, None] // q ** np.arange(free - 1, -1, -1, dtype=np.int64)) % q
+    if fs.f == 1:  # one reduction mod p after the integer sum
+        evals = (codes[lead] + digits @ codes[lead + 1 :]) % q
+    else:
+        axpy = _arith(fs)[0]
+        evals = np.broadcast_to(codes[lead], (idx.size, codes.shape[1]))
+        for j in range(free):
+            evals = axpy(evals, digits[:, j : j + 1], codes[lead + 1 + j])
+    return batch_rank(np.array(evals).reshape(idx.size, M.rows, M.cols), fs)
 
 
 def pfaffian(matrix, fs):
@@ -229,15 +309,13 @@ def projective_rank_census(B, budget=10**9):
     b = B.nvars
     if b < 1:
         return {}, True
-    if fs.q**b > budget:
-        raise BudgetExceeded(f"q^b = {fs.q**b} exceeds budget {budget}")
+    check_points(fs, b, budget)
     pts = projective_points(fs, b)
-    census = {}
-    rk_of = {}
-    for pt in pts:
-        r = rank(B.evaluate(pt), fs)
-        census[r] = census.get(r, 0) + 1
-        rk_of[pt] = r
+    ranks = np.concatenate(
+        [projective_ranks(B, lead, 0, fs.q ** (b - lead - 1)) for lead in range(b)]
+    ).tolist()
+    census = dict(Counter(ranks))
+    rk_of = dict(zip(pts, ranks))
     full = B.rows
     if b == 1:
         return census, True

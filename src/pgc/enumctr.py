@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 import numpy as np
@@ -28,7 +28,12 @@ from .liecore import (
     lower_central_series,
     smith_mod,
 )
-from .commat import BudgetExceeded, build_commutator_matrices, batch_rank_modp, rank
+from .commat import (
+    BudgetExceeded,
+    build_commutator_matrices,
+    check_points,
+    projective_ranks,
+)
 
 DEFAULT_BUDGET = 10**9
 _CHUNK = 1 << 15
@@ -72,7 +77,8 @@ class CountVector:
 
     def mass(self, weight=1):
         """sum counts * p^(weight * exponent); needs p."""
-        assert self.p is not None
+        if self.p is None:
+            raise ValueError("mass needs the prime p of the vector")
         return sum(n * self.p ** (weight * i) for i, n in self.entries.items())
 
     def items(self):
@@ -97,74 +103,40 @@ def _exact_div(n, d):
 # rank distributions over F_q^n
 
 
-def _iter_points(fs, nvars, start, stop, step):
-    """Odometer-order points of F_q^nvars for indices start, start+step, ...
-    (last coordinate fastest)."""
-    els = fs.elements()
-    q = fs.q
-    for n in range(start, stop, step):
-        digits = []
-        t = n
-        for _ in range(nvars):
-            digits.append(els[t % q])
-            t //= q
-        digits.reverse()
-        yield tuple(digits)
-
-
-def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
-    """{rank: #points x in F_q^nvars with rk M(x) = rank}. Deterministic
-    odometer order. With workers > 1, worker w of W counts the indices
-    congruent to w mod W on a thread pool (the GF(p) kernel runs in numpy,
-    which releases the GIL) and the counts are merged; the result does not
-    depend on workers."""
-    fs = M.fs
-    n = M.nvars
-    total = fs.q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
-    if workers <= 1:
-        return _rank_shard(M, 0, 1)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(lambda w: _rank_shard(M, w, workers), range(workers)))
-    counts = {}
-    for part in parts:
-        for r, c in part.items():
-            counts[r] = counts.get(r, 0) + c
-    return counts
+def _chunks(M):
+    """(lead, start, stop) blocks of the monic projective representatives
+    of F_q^nvars, in projective_points order."""
+    for lead in range(M.nvars):
+        size = M.fs.q ** (M.nvars - lead - 1)
+        for s in range(0, size, _CHUNK):
+            yield lead, s, min(s + _CHUNK, size)
 
 
 def _rank_shard(M, worker, workers):
-    """rank_distribution restricted to indices congruent to worker mod workers."""
-    fs = M.fs
-    n = M.nvars
-    total = fs.q**n
-    counts = {}
-    if n == 0:
-        # the single empty point: the zero matrix
-        if worker == 0:
-            counts[0] = 1
-        return counts
-    if fs.f == 1:
-        mats = M.constant_matrices().reshape(n, -1)
-        q = fs.q
-        pows = np.array([q ** (n - 1 - j) for j in range(n)], dtype=np.int64)
-        idx = np.arange(worker, total, workers, dtype=np.int64)
-        for s in range(0, idx.size, _CHUNK):
-            block = idx[s : s + _CHUNK]
-            digits = (block[:, None] // pows[None, :]) % q
-            evals = (digits @ mats) % q
-            ranks = batch_rank_modp(
-                evals.reshape(block.size, M.rows, M.cols), q
-            )
-            vals, cnt = np.unique(ranks, return_counts=True)
-            for v, c in zip(vals.tolist(), cnt.tolist()):
-                counts[v] = counts.get(v, 0) + c
-        return counts
-    for pt in _iter_points(fs, n, worker, total, workers):
-        r = rank(M.evaluate(pt), fs)
-        counts[r] = counts.get(r, 0) + 1
+    """Rank counts over the chunks numbered worker mod workers, one entry
+    per projective point."""
+    counts = np.zeros(min(M.rows, M.cols) + 1, dtype=np.int64)
+    for lead, s, t in islice(_chunks(M), worker, None, workers):
+        counts += np.bincount(projective_ranks(M, lead, s, t), minlength=counts.size)
     return counts
+
+
+def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
+    """{rank: #points x in F_q^nvars with rk M(x) = rank}. M is linear in x,
+    so the rank is constant on the q-1 nonzero points of a line: only the
+    monic representatives are ranked, each counting q-1 times, and the
+    origin adds one point of rank 0. With workers > 1 the chunks go round
+    robin to a thread pool (the kernel runs in numpy, which releases the
+    GIL); the result does not depend on workers."""
+    check_points(M.fs, M.nvars, budget)
+    if workers <= 1:
+        counts = _rank_shard(M, 0, 1)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            counts = sum(ex.map(lambda w: _rank_shard(M, w, workers), range(workers)))
+    counts = counts * (M.fs.q - 1)
+    counts[0] += 1  # the origin
+    return {r: c for r, c in enumerate(counts.tolist()) if c}
 
 
 def rank_distribution_A(A, budget=DEFAULT_BUDGET, workers=1):
@@ -203,7 +175,8 @@ def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     ch[i f] = nu[i] |G/G'| q^{-2i}. All divisions must be exact. workers
     shards each census over threads (see rank_distribution)."""
     fs = table.ring
-    assert is_field(fs)
+    if not is_field(fs):
+        raise ValueError("vectors_theoremB requires a field table")
     adapted, ab, A, B = _field_setup(table)
     a, b, h = ab.a, ab.b, table.h
     q, f = fs.q, fs.f

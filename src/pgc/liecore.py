@@ -543,7 +543,8 @@ def adapt_basis(table):
     hold derived-algebra vectors of nonzero residue.
     """
     fs = table.ring
-    assert is_field(fs), "adapt_basis requires a field table"
+    if not is_field(fs):
+        raise ValueError("adapt_basis requires a field table")
     h = table.h
     zb = centre(table).vectors
     db = derived(table).vectors
@@ -650,7 +651,8 @@ def base_change(table, m):
     """Reinterpret a GF(p^f) table over GF(p^{f m}); the lambda tensor is
     carried over entrywise. Constants must lie in the prime subfield."""
     fs = table.ring
-    assert is_field(fs), "base_change requires a field table"
+    if not is_field(fs):
+        raise ValueError("base_change requires a field table")
     if m == 1:
         return table
     from .field import make_field

@@ -7,7 +7,7 @@ import pytest
 from pgc import (
     make_field, LieRing,
     NotAdapted, NotSkew,
-    build_commutator_matrices, rank, batch_rank_modp,
+    build_commutator_matrices, rank, batch_rank,
     pfaffian, projective_points, projective_rank_census,
     adapt_basis, free_table,
 )
@@ -35,13 +35,53 @@ def test_not_adapted_rejected():
 
 def test_rank_matches_batch_rank():
     import numpy as np
-    t = free_table(2, 3, make_field(5))
-    ab, adapted = adapt_basis(t)
-    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
-    pts = list(itertools.product(range(5), repeat=A.nvars))[:200]
-    single = [rank(A.evaluate(x), t.ring) for x in pts]
-    stack = np.array([A.evaluate(x) for x in pts], dtype=np.int64)
-    assert single == list(batch_rank_modp(stack, 5))
+    for fs in (make_field(5), make_field(5, 2)):
+        t = free_table(2, 3, fs)
+        ab, adapted = adapt_basis(t)
+        A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+        els = fs.elements()
+        pts = list(itertools.product(els, repeat=A.nvars))[:200]
+        single = [rank(A.evaluate(x), fs) for x in pts]
+        stack = np.array([[[fs.to_int(c) for c in row] for row in A.evaluate(x)]
+                          for x in pts], dtype=np.int64)
+        assert single == list(batch_rank(stack, fs))
+
+
+def _low_rank_batch(fs, rng, n, R, C):
+    """n random R x C matrices over fs of rank at most a random k, built
+    from k random rows with the reference arithmetic; some are zero."""
+    els = fs.elements()
+    out = []
+    for _ in range(n):
+        k = rng.randint(0, min(R, C))
+        basis = [[rng.choice(els) for _ in range(C)] for _ in range(k)]
+        rows = []
+        for _ in range(R):
+            row = [fs.zero()] * C
+            for b in basis:
+                c = rng.choice(els)
+                row = [fs.add(x, fs.mul(c, y)) for x, y in zip(row, b)]
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (5, 1), (2, 3), (3, 2),
+                                 (5, 2), (3, 3)])
+def test_batch_rank_matches_reference_rank(p, f):
+    import random
+    import numpy as np
+    fs = make_field(p, f)
+    rng = random.Random(f"{p}^{f}")
+    for R, C in [(1, 1), (1, 4), (4, 1), (3, 3), (4, 6), (6, 4)]:
+        mats = _low_rank_batch(fs, rng, 40, R, C)
+        mats.append([[fs.zero()] * C for _ in range(R)])
+        codes = np.array([[[fs.to_int(x) for x in row] for row in m]
+                          for m in mats], dtype=np.int64)
+        got = batch_rank(codes, fs).tolist()
+        assert got == [rank(m, fs) for m in mats], (R, C)
+        assert 0 < max(got) and got[-1] == 0
+    assert batch_rank(np.zeros((0, 3, 2), dtype=np.int64), fs).size == 0
 
 
 def test_pfaffian_2x2_and_4x4():

@@ -1,11 +1,15 @@
 """Rank censuses, the two counting routes, and exact interpolation."""
 
+import itertools
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from pgc import (
-    make_field, ModRing, LieRing,
+    make_field, ModRing, LieRing, LinearFormMatrix, rank,
+    rank_distribution, quadric_table,
     BudgetExceeded, ClassTooLarge, CountVector,
     rank_distribution_A, rank_distribution_B,
     vectors_theoremB, vectors_dual, class_number,
@@ -13,6 +17,7 @@ from pgc import (
     build_commutator_matrices, adapt_basis,
     free_table, poly_fit, QPolynomial,
 )
+import pgc.enumctr
 from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision
 from conftest import heisenberg, dual_pool
 
@@ -35,12 +40,98 @@ def test_vectors_heisenberg_prime_and_extension():
         assert cc.total() == ch.total() == q**2 + q - 1
 
 
+def _brute_force_distribution(M):
+    counts = {}
+    for pt in itertools.product(M.fs.elements(), repeat=M.nvars):
+        r = rank(M.evaluate(pt), M.fs)
+        counts[r] = counts.get(r, 0) + 1
+    return counts
+
+
+def _one_form(fs, nvars, rows=1, cols=1):
+    """rows x cols matrix whose every entry is the first variable."""
+    coeffs = [[[fs.one()] + [fs.zero()] * (nvars - 1) if nvars else []
+               for _ in range(cols)] for _ in range(rows)]
+    return LinearFormMatrix(fs, rows, cols, nvars, coeffs)
+
+
+def test_rank_distribution_matches_brute_force():
+    tables = [heisenberg(make_field(3, 3)), free_table(3, 2, make_field(3, 2)),
+              quadric_table(9), free_table(2, 3, make_field(7))]
+    mats = [_one_form(make_field(5), 0, 2, 2), _one_form(make_field(3, 2), 1)]
+    for t in tables:
+        ab, adapted = adapt_basis(t)
+        mats += build_commutator_matrices(adapted, ab.a, ab.b)
+    assert {M.nvars for M in mats} >= {0, 1, 2, 3, 4}
+    for M in mats:
+        assert rank_distribution(M) == _brute_force_distribution(M)
+
+
+@pytest.mark.parametrize("fs", [make_field(5), make_field(3, 2)],
+                         ids=["GF(5)", "GF(9)"])
+def test_rank_distribution_independent_of_workers(fs, monkeypatch):
+    # 7 monic points per chunk: shards cross chunk boundaries and the
+    # boundaries between leading positions (blocks of q^3, q^2, q, 1)
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", 7)
+    ab, adapted = adapt_basis(free_table(2, 3, fs))
+    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+    coeffs = [[[fs.embed(r + 2 * c + v) for v in range(4)] for c in range(3)]
+              for r in range(2)]
+    M4 = LinearFormMatrix(fs, 2, 3, 4, coeffs)
+    for M in (A, B, M4):
+        want = _brute_force_distribution(M)
+        for w in (1, 2, 3):
+            assert rank_distribution(M, workers=w) == want, (M.nvars, w)
+
+
+def test_oversized_census_is_a_budget_error(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the census started")
+
+    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    M = _one_form(make_field(101), 11)
+    with pytest.raises(BudgetExceeded, match="64-bit"):
+        rank_distribution(M, budget=10**30)
+    with pytest.raises(BudgetExceeded, match="exceeds budget"):
+        rank_distribution(M)
+    monkeypatch.undo()
+    # q^1 is within the default budget, but O(q) element tables are refused
+    with pytest.raises(BudgetExceeded, match="table limit"):
+        rank_distribution(_one_form(make_field(3, 13), 1))
+
+
+def test_large_extension_field_census_allocates_no_qn_array():
+    fs = make_field(3, 7)
+    q = fs.q
+    x1 = _one_form(fs, 2)
+    row = LinearFormMatrix(fs, 1, 2, 2, [[[fs.one(), fs.zero()],
+                                          [fs.zero(), fs.one()]]])  # (x1 x2)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        got = [rank_distribution(x1), rank_distribution(row)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [{0: q, 1: q**2 - q}, {0: 1, 1: q**2 - 1}]
+    assert time.perf_counter() - t0 < 5
+    # q^2 int64 entries would take 38 MB; tables and chunks take well under 4
+    assert peak < 4 * 2**20
+
+
+def test_theoremB_rejects_modular_table():
+    with pytest.raises(ValueError, match="field table"):
+        vectors_theoremB(heisenberg(ModRing(3, 2)))
+
+
 def test_count_vector_mass_and_total():
     cc = CountVector({0: 5, 1: 24}, q=5, p=5)
     assert cc.total() == 29
     assert cc.mass(1) == 5 + 24 * 5  # class sizes weighted by p^i
     ch = CountVector({0: 25, 1: 4}, q=5, p=5)
     assert ch.mass(2) == 25 + 4 * 25  # degrees squared
+    with pytest.raises(ValueError):
+        CountVector({0: 1}).mass()
 
 
 def test_budget_exceeded_propagates():
