@@ -82,6 +82,7 @@ from .freenil import (
 from .lazard import (
     DEFAULT_ORACLE_BUDGET,
     DenominatorNotInvertible,
+    NonPowerClass,
     NonSquareOrbit,
     BchSeries,
     bch,

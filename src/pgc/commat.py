@@ -1,9 +1,10 @@
-"""Commutator matrices A(X), B(Y) and rank machinery over finite fields.
+"""Commutator matrices A(X), B(Y) and rank machinery over GF(q) and Z/p^e.
 
 A is a x b in the variables X_1..X_a with A(X)_{ik} = sum_j lambda_ij^k X_j;
 B is the skew a x a matrix with B(Y)_{ij} = sum_k lambda_ij^k Y_k, where k
 runs over the tail window of an adapted basis. Rank loci of A give class
-sizes, of B character degrees.
+sizes, of B character degrees. Over Z/p^e the same batched kernel returns
+the length of the row span, for the dual route's image sizes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .liecore import is_field, is_adapted
+from .liecore import ModRing, is_field, is_adapted
 
 
 class NotAdapted(ValueError):
@@ -146,6 +147,14 @@ def check_points(fs, n, budget):
         raise BudgetExceeded(f"q^n = {total} does not fit a 64-bit point index")
 
 
+def check_modulus(m, terms=1):
+    """Raise BudgetExceeded unless a sum of `terms` products of residues
+    mod m fits an int64."""
+    if terms * (m - 1) ** 2 >= 1 << 63:
+        raise BudgetExceeded(
+            f"sums of {terms} products mod {m} do not fit 64-bit integers")
+
+
 def _powers(fs, g):
     """Codes of g^0 .. g^(q-2), by doubling: the block k..2k-1 is the block
     0..k-1 times g^k, a linear map on the base-p digits."""
@@ -201,9 +210,15 @@ def _arith(fs):
     return axpy, mul, ninv
 
 
-def batch_rank(M, fs):
-    """Ranks of a batch of matrices over fs; M has shape (N, R, C), int64,
-    entries coded by fs.to_int. Vectorised elimination, destroys M."""
+def batch_rank(M, ring):
+    """Ranks of a batch of matrices over GF(q), or over Z/p^e the length l
+    of each row span (|span| = p^l; the rank when e = 1). M has shape
+    (N, R, C), int64, entries coded by fs.to_int resp. residues mod p^e.
+    Vectorised elimination, destroys M."""
+    if isinstance(ring, ModRing):
+        check_modulus(ring.m)
+        return _batch_length(M, ring.p, ring.e)
+    fs = ring
     N, R, C = M.shape
     ranks = np.zeros(N, dtype=np.int64)
     if R == 0:
@@ -226,6 +241,29 @@ def batch_rank(M, fs):
         )
         ranks += has
     return ranks
+
+
+def _batch_length(M, p, e):
+    """Valuation-pivot elimination over Z/p^e. Each step takes an entry
+    p^v u of least valuation in the whole matrix (u a unit) and replaces
+    every row x by u x - w y, where y is the pivot row and p^v w the entry
+    of x in the pivot's column. That clears the column, and the pivot row
+    itself. Every entry has valuation >= v, so y spanned a direct summand
+    of order p^(e-v); a zero matrix gives v = e."""
+    m = p**e
+    N, R, C = M.shape
+    length = np.zeros(N, dtype=np.int64)
+    mats, pw = np.arange(N), p ** np.arange(e + 1)
+    for _ in range(min(R, C)):
+        g = np.gcd(M.reshape(N, R * C), m)  # p^v, or m at a zero entry
+        k = g.argmin(axis=1)
+        pv, (r, c) = g[mats, k], np.divmod(k, C)
+        length += e - np.searchsorted(pw, pv)
+        u, w, y = M[mats, r, c] // pv, M[mats, :, c] // pv[:, None], M[mats, r]
+        M *= u[:, None, None]
+        M -= w[:, :, None] * y[:, None, :]
+        M %= m
+    return length
 
 
 def projective_ranks(M, lead, start, stop):
@@ -302,6 +340,31 @@ def projective_points(fs, b):
     return pts
 
 
+def projective_lines(fs, b):
+    """Every line of P^{b-1}(F_q) once, as (n, q+1) arrays holding the
+    indices of its points in projective_points order. A line is the span
+    of a reduced echelon pair u, v with pivots i < j (u_j = 0); its points
+    v and u + t v, t in F_q, are all monic."""
+    q, axpy = fs.q, _arith(fs)[0]
+    offset = np.cumsum([0] + [q ** (b - 1 - lead) for lead in range(b - 1)])
+    t = np.arange(q, dtype=np.int64)[None, :, None]
+    step = max(1, (1 << 15) // (q + 1))  # lines per array
+    for i in range(b):
+        w = q ** np.arange(b - 2 - i, -1, -1, dtype=np.int64)  # positions > i
+        for j in range(i + 1, b):
+            free = q ** (2 * b - 3 - i - j)  # u: b-2-i coordinates, v: b-1-j
+            for s in range(0, free, step):
+                idx = np.arange(s, min(s + step, free), dtype=np.int64)
+                digits = idx[:, None] // q ** np.arange(2 * b - 4 - i - j, -1, -1) % q
+                U = np.insert(digits[:, : b - 2 - i], j - i - 1, 0, axis=1)
+                V = np.zeros_like(U)
+                V[:, j - i - 1] = 1
+                V[:, j - i :] = digits[:, b - 2 - i :]
+                on_u = offset[i] + axpy(U[:, None], t, V[:, None]) @ w
+                on_v = offset[j] + V[:, j - i :] @ w[j - i :]
+                yield np.concatenate([on_v[:, None], on_u], axis=1)
+
+
 def projective_rank_census(B, budget=10**9):
     """Counts of each rank over P^{b-1}(F_q) plus the line condition:
     does every projective line contain a point of full rank?"""
@@ -310,35 +373,12 @@ def projective_rank_census(B, budget=10**9):
     if b < 1:
         return {}, True
     check_points(fs, b, budget)
-    pts = projective_points(fs, b)
     ranks = np.concatenate(
         [projective_ranks(B, lead, 0, fs.q ** (b - lead - 1)) for lead in range(b)]
-    ).tolist()
-    census = dict(Counter(ranks))
-    rk_of = dict(zip(pts, ranks))
-    full = B.rows
-    if b == 1:
-        return census, True
-    # every projective line must contain a point of rank `full`
-    seen = set()
-    els = fs.elements()
-    pts_list = list(rk_of)
-    for i1 in range(len(pts_list)):
-        for i2 in range(i1 + 1, len(pts_list)):
-            p1, p2 = pts_list[i1], pts_list[i2]
-            line = set()
-            line.add(p2)
-            for t in els:
-                v = tuple(fs.add(x, fs.mul(t, y)) for x, y in zip(p1, p2))
-                # renormalize to the monic representative
-                lead = next((c for c in v if not fs.is_zero(c)), None)
-                assert lead is not None
-                inv = fs.inv(lead)
-                line.add(tuple(fs.mul(inv, c) for c in v))
-            key = frozenset(line)
-            if key in seen:
-                continue
-            seen.add(key)
-            if not any(rk_of[pt] == full for pt in line):
-                return census, False
+    )
+    census = dict(Counter(ranks.tolist()))
+    full = ranks == B.rows
+    for lines in projective_lines(fs, b):
+        if not full[lines].any(axis=1).all():
+            return census, False
     return census, True

@@ -3,18 +3,20 @@
 Two routes to the same answers:
   * field route: enumerate F_q^a and F_q^b, read off rank distributions of
     the commutator matrices, scale by |Z| resp. |G/G'|;
-  * dual route (Z/p^e, also GF(p) for cross-checks): enumerate coset
-    representatives of g/z and Pontryagin-dual characters of g', using
-    Smith normal form for image sizes and radicals. No complex numbers:
-    characters are residue tuples and "omega(v) = 1" is a residue-zero test.
+  * dual route (Z/p^e, also GF(p) for cross-checks): Theorem A as a matrix
+    method. |im ad_x| over coset representatives x of g/z and |im B_omega|
+    over the characters omega of g' are lengths of matrices linear in x
+    resp. omega, read off one batched valuation-pivot elimination per
+    chunk. No complex numbers: a character is a residue vector w and
+    omega([u, v]) is the residue of w . [u, v].
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from itertools import islice, product
-from math import comb
+from itertools import islice
+from math import comb, prod
 
 import numpy as np
 
@@ -30,13 +32,16 @@ from .liecore import (
 )
 from .commat import (
     BudgetExceeded,
+    batch_rank,
     build_commutator_matrices,
+    check_modulus,
     check_points,
     projective_ranks,
 )
 
 DEFAULT_BUDGET = 10**9
 _CHUNK = 1 << 15
+_DUAL_CHUNK = 1 << 12
 
 
 class ClassTooLarge(ValueError):
@@ -236,10 +241,34 @@ def _as_modular(table):
     raise ValueError("dual route requires Z/p^e or prime-field coefficients")
 
 
+def _length_census(gens, orders, forms, ring):
+    """Counts of l over the points x = sum_i t_i gens[i], 0 <= t_i <
+    orders[i], where |row span of sum_k x_k forms[k]| = p^l over Z/p^e.
+    The t_i are the mixed-radix digits of an index, taken _DUAL_CHUNK
+    points at a time."""
+    m, h = ring.m, forms.shape[0]
+    forms = forms[:, forms.any(axis=(0, 2))][:, :, forms.any(axis=(0, 1))]
+    _, R, C = forms.shape  # zero rows and columns add nothing to a span
+    G = np.array([[x % m for x in g] for g in gens], dtype=np.int64)
+    G = G.reshape(len(gens), h)
+    strides = np.cumprod([1] + orders[:-1], dtype=np.int64)
+    total = prod(orders)
+    flat = forms.reshape(h, R * C)
+    counts = np.zeros(ring.e * min(R, C) + 1, dtype=np.int64)
+    for start in range(0, total, _DUAL_CHUNK):
+        idx = np.arange(start, min(start + _DUAL_CHUNK, total), dtype=np.int64)
+        X = (idx[:, None] // strides % np.array(orders, dtype=np.int64)) @ G % m
+        mats = (X @ flat % m).reshape(idx.size, R, C)
+        counts += np.bincount(batch_rank(mats, ring), minlength=counts.size)
+    return counts.tolist()
+
+
 def vectors_dual(table, budget=DEFAULT_BUDGET):
     """(cc, ch) by Theorem A over Z/p^e:
     cc_i = #{x in g/z : |im ad_x| = p^i} |z| p^{-i},
-    ch_i = #{omega : |Rad(B_omega)/z| = p^{-2i} |g/z|} |G/G'| p^{-2i}."""
+    ch_i = #{omega in g'^ : |im B_omega| = p^{2i}} |G/G'| p^{-2i},
+    with B_omega = (omega[e_a, e_b]); |im B_omega| is the index of the
+    radical of the form omega[., .] in g."""
     table, R = _as_modular(table)
     p, m, h = R.p, R.m, table.h
     _, c = lower_central_series(table)
@@ -254,86 +283,35 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             f"|g/z| = {quo_order}, |g'^| = {dsub.order()} exceed budget {budget}"
         )
+    if max(quo_order, dsub.order()) >= 1 << 63:
+        raise BudgetExceeded("|g/z| or |g'^| does not fit a 64-bit point index")
+    check_modulus(m, h)
+    L = np.zeros((h, h, h), dtype=np.int64)  # L[i, j, k] = lambda_ij^k
+    for (i, j), row in table.lam.items():
+        for k, lam in row.items():
+            L[i, j, k], L[j, i, k] = lam % m, -lam % m
 
-    # class side: |im ad_x| over coset representatives sum_i t_i Vinv_i
+    # class side: ad_x has rows [x, e_j] = sum_i x_i L[i, j], over the coset
+    # representatives sum_i t_i Vinv_i of g/z, 0 <= t_i < d_i
     dz, _, Vz = smith_mod(z.vectors, m, h)
-    reps = [
-        tuple(sum(t * row[j] for t, row in zip(ts, Vz)) % m for j in range(h))
-        for ts in product(*(range(d) for d in dz))
-    ]
-    cc_raw = {}
-    for x in reps:
-        imgs = [table.bracket(table.basis_vector(j), x) for j in range(h)]
-        imgs = [v for v in imgs if any(v)]
-        size = 1
-        for d in smith_mod(imgs, m, h)[0]:
-            size *= m // d
-        i = 0
-        s = size
-        while s > 1:
-            s //= p
-            i += 1
-        assert p**i == size
-        cc_raw[i] = cc_raw.get(i, 0) + 1
-    cc = {i: _exact_div(n * zorder, p**i) for i, n in cc_raw.items()}
+    quo = [i for i, d in enumerate(dz) if d > 1]
+    lengths = _length_census([Vz[i] for i in quo], [dz[i] for i in quo], L, R)
+    cc = {i: _exact_div(n * zorder, p**i) for i, n in enumerate(lengths) if n}
 
-    # character side: radical size of the induced form for each character.
-    # g' is the sum of the <d_i Vinv_i>, d_i < m; a character is a residue
-    # tuple (c_i mod m/d_i) pairing v to sum_i c_i (v V)_i mod m, and
-    # (v V)_i / d_i are the coordinates of v.
+    # character side: g' is the sum of the <d_i Vinv_i>, d_i < m, and v in
+    # g' has coordinates (v V)_i / d_i; the characters are the residue
+    # vectors w = sum_i c_i V[:, i], c_i mod m / d_i, with omega(v) = w . v
+    # and B_omega[a, b] = sum_k L[a, b, k] w_k
     dd, Vd, _ = smith_mod(dsub.vectors, m, h)
     active = [i for i, d in enumerate(dd) if d != m]
-    weights = [dd[i] for i in active]
-
-    def coords(v):
-        w = [0] * h
-        for i in range(h):
-            if v[i]:
-                for j in range(h):
-                    w[j] += v[i] * Vd[i][j]
-        out = []
-        for i in active:
-            wi = w[i] % m
-            if wi % dd[i]:
-                raise ValueError("vector outside the subgroup")
-            out.append(wi // dd[i])
-        return out
-
-    # coordinates of [x, e_j] in the dual basis, per representative
-    bracket_coords = [
-        [coords(table.bracket(x, table.basis_vector(j))) for j in range(h)]
-        for x in reps
-    ]
-    t = len(active)
-    ch_raw = {}
-    for chi in product(*(range(m // d) for d in weights)):
-        rad = 0
-        for row in bracket_coords:
-            ok = True
-            for coords_j in row:
-                s = 0
-                for i in range(t):
-                    ci = chi[i]
-                    if ci and coords_j[i]:
-                        s += ci * coords_j[i] * weights[i]
-                if s % m:
-                    ok = False
-                    break
-            if ok:
-                rad += 1
-        # rad = |Rad(B_omega)| as a subgroup of g/z; find i with
-        # rad = |g/z| p^{-2i}
-        ratio = _exact_div(quo_order, rad)
-        i2 = 0
-        s = ratio
-        while s > 1:
-            s //= p
-            i2 += 1
-        if p**i2 != ratio or i2 % 2:
-            raise InexactDivision(f"radical index {ratio} is not an even p-power")
-        ch_raw[i2 // 2] = ch_raw.get(i2 // 2, 0) + 1
+    lengths = _length_census([[row[i] for row in Vd] for i in active],
+                             [m // dd[i] for i in active],
+                             L.transpose(2, 0, 1), R)
+    odd = [l for l, n in enumerate(lengths) if n and l % 2]
+    if odd:
+        raise InexactDivision(f"radical index {p**odd[0]} is not an even p-power")
     goverd = _exact_div(gorder, dsub.order())
-    ch = {i: _exact_div(n * goverd, p ** (2 * i)) for i, n in ch_raw.items()}
+    ch = {l // 2: _exact_div(n * goverd, p**l) for l, n in enumerate(lengths) if n}
 
     ccv = CountVector(cc, q=1, p=p)
     chv = CountVector(ch, q=1, p=p)

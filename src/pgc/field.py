@@ -207,13 +207,6 @@ class FieldSpec:
                     prod[k - f + i] = (prod[k - f + i] + c * r) % p
         return tuple(prod[:f])
 
-    def smul(self, n, x):
-        """Integer scalar times element."""
-        n %= self.p
-        if self.f == 1:
-            return (n * x) % self.p
-        return tuple((n * a) % self.p for a in x)
-
     def power(self, x, n):
         r = self.one()
         while n:

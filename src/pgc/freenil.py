@@ -114,12 +114,6 @@ class HallBasis:
     def display(self, i):
         return self.elements[i].display
 
-    def index_of(self, display):
-        for e in self.elements:
-            if e.display == display:
-                return e.index
-        raise KeyError(display)
-
 
 def _default_names(r):
     return ("y", "x") if r == 2 else tuple(f"x{i+1}" for i in range(r))

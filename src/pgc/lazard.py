@@ -29,6 +29,10 @@ class DenominatorNotInvertible(ArithmeticError):
     """A series denominator shares a factor with p: cannot happen for p > c."""
 
 
+class NonPowerClass(RuntimeError):
+    """A conjugacy class size is not a power of p."""
+
+
 class NonSquareOrbit(RuntimeError):
     """A co-adjoint orbit size is not an even power of p."""
 
@@ -363,7 +367,8 @@ def conjugacy_census(table, budget=DEFAULT_ORACLE_BUDGET, series=None):
                     queue.append(w)
         visited |= orbit
         i = _p_power_exponent(len(orbit), p)
-        assert i is not None, "conjugacy class size must be a power of p"
+        if i is None:
+            raise NonPowerClass(f"class size {len(orbit)}")
         cc[i] = cc.get(i, 0) + 1
     return CountVector(cc, q=R.q if is_field(R) else 1, p=p)
 
@@ -400,12 +405,6 @@ def _flatten(v, f):
     if f is None:
         return tuple(v)
     return tuple(d for coord in v for d in coord)
-
-
-def _unflatten(w, f, R, h):
-    if f is None:
-        return tuple(w)
-    return tuple(tuple(w[i * f:(i + 1) * f]) for i in range(h))
 
 
 def coadjoint_census(table, budget=DEFAULT_ORACLE_BUDGET, series=None):

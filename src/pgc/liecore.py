@@ -74,9 +74,6 @@ class ModRing:
     def mul(self, x, y):
         return (x * y) % self.m
 
-    def smul(self, n, x):
-        return (n * x) % self.m
-
     def is_zero(self, x):
         return x % self.m == 0
 
@@ -167,10 +164,6 @@ class LieRing:
     def basis_vector(self, i):
         R = self.ring
         return tuple(R.one() if j == i else R.zero() for j in range(self.h))
-
-    def zero_vector(self):
-        z = self.ring.zero()
-        return (z,) * self.h
 
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""

@@ -4,13 +4,17 @@ import itertools
 
 import pytest
 
+import numpy as np
+
+import pgc.commat
 from pgc import (
-    make_field, LieRing,
-    NotAdapted, NotSkew,
+    make_field, LieRing, ModRing, LinearFormMatrix,
+    NotAdapted, NotSkew, BudgetExceeded,
     build_commutator_matrices, rank, batch_rank,
     pfaffian, projective_points, projective_rank_census,
-    adapt_basis, free_table,
+    adapt_basis, free_table, quadric_table, boston_isaacs_table,
 )
+from pgc.commat import projective_lines
 from conftest import heisenberg
 
 
@@ -34,7 +38,6 @@ def test_not_adapted_rejected():
 
 
 def test_rank_matches_batch_rank():
-    import numpy as np
     for fs in (make_field(5), make_field(5, 2)):
         t = free_table(2, 3, fs)
         ab, adapted = adapt_basis(t)
@@ -70,7 +73,6 @@ def _low_rank_batch(fs, rng, n, R, C):
                                  (5, 2), (3, 3)])
 def test_batch_rank_matches_reference_rank(p, f):
     import random
-    import numpy as np
     fs = make_field(p, f)
     rng = random.Random(f"{p}^{f}")
     for R, C in [(1, 1), (1, 4), (4, 1), (3, 3), (4, 6), (6, 4)]:
@@ -82,6 +84,69 @@ def test_batch_rank_matches_reference_rank(p, f):
         assert got == [rank(m, fs) for m in mats], (R, C)
         assert 0 < max(got) and got[-1] == 0
     assert batch_rank(np.zeros((0, 3, 2), dtype=np.int64), fs).size == 0
+
+
+def _span_order(mat, m):
+    """|row span| of an integer matrix over Z/m, by closing {0} under
+    adding every multiple of every row."""
+    span = np.zeros((1, len(mat[0])), dtype=np.int64)
+    for row in mat:
+        span = (span[:, None, :] + np.arange(m)[None, :, None] * row) % m
+        span = np.unique(span.reshape(-1, len(row)), axis=0)
+    return len(span)
+
+
+def _modular_batch(rng, p, e, n, R, C):
+    """n random R x C matrices over Z/p^e: combinations of at most
+    min(R, C) rows whose entries carry random powers of p; one is zero."""
+    m = p**e
+    out = [[[0] * C for _ in range(R)]]
+    for _ in range(n - 1):
+        basis = [[rng.randrange(m) * p ** rng.randrange(e + 1) % m
+                  for _ in range(C)] for _ in range(rng.randint(0, min(R, C)))]
+        rows = []
+        for _ in range(R):
+            row = [0] * C
+            for b in basis:
+                c = rng.randrange(m)
+                row = [(x + c * y) % m for x, y in zip(row, b)]
+            rows.append(row)
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (3, 3), (2, 3)])
+def test_batch_rank_modular_matches_span_order(p, e):
+    import random
+    rng = random.Random(f"{p}^{e}")
+    R_ = ModRing(p, e)
+    for R, C in [(1, 1), (1, 3), (3, 1), (2, 2), (3, 3), (4, 2), (2, 3)]:
+        mats = _modular_batch(rng, p, e, 25, R, C)
+        got = batch_rank(np.array(mats, dtype=np.int64), R_).tolist()
+        assert [p**n for n in got] == [_span_order(m, p**e) for m in mats], (R, C)
+        assert got[0] == 0 and len(set(got)) >= 3
+    assert batch_rank(np.zeros((0, 3, 2), dtype=np.int64), R_).size == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_batch_rank_over_z_p_is_the_field_rank(p):
+    import random
+    fs = make_field(p)
+    mats = _low_rank_batch(fs, random.Random(p), 60, 4, 5)
+    codes = np.array(mats, dtype=np.int64)
+    assert (batch_rank(codes.copy(), ModRing(p, 1)) == batch_rank(codes, fs)).all()
+
+
+def test_oversized_modulus_is_a_budget_error(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the kernel started")
+
+    monkeypatch.setattr(pgc.commat, "_batch_length", kernel)
+    M = np.zeros((1, 2, 2), dtype=np.int64)
+    with pytest.raises(BudgetExceeded, match="64-bit"):
+        batch_rank(M, ModRing(2, 32))  # (2^32 - 1)^2 overflows int64
+    with pytest.raises(AssertionError, match="kernel started"):
+        batch_rank(M, ModRing(2, 31))
 
 
 def test_pfaffian_2x2_and_4x4():
@@ -130,3 +195,57 @@ def test_projective_rank_census_quadric():
     assert not line_ok
     # rank-2 locus of Y1 Y4 - Y2 Y3 = 0 in P^3(F_3): (q+1)^2 points
     assert census[2] == 16
+
+
+def _lines_by_pairs(fs, b):
+    """Every line of P^{b-1}(F_q) as a set of point indices, built from
+    each pair of points with the reference arithmetic."""
+    pts = projective_points(fs, b)
+    index = {pt: n for n, pt in enumerate(pts)}
+    lines = set()
+    for p1, p2 in itertools.combinations(pts, 2):
+        line = {index[p2]}
+        for t in fs.elements():
+            v = [fs.add(x, fs.mul(t, y)) for x, y in zip(p1, p2)]
+            inv = fs.inv(next(c for c in v if not fs.is_zero(c)))
+            line.add(index[tuple(fs.mul(inv, c) for c in v)])
+        lines.add(frozenset(line))
+    return lines
+
+
+@pytest.mark.parametrize("p,f,b", [(2, 1, 1), (2, 1, 2), (3, 1, 3), (2, 2, 3),
+                                   (3, 1, 4), (2, 2, 4), (3, 2, 2), (2, 1, 5)])
+def test_projective_lines_visits_each_line_once(p, f, b):
+    fs = make_field(p, f)
+    q = fs.q
+    lines = [frozenset(r) for arr in projective_lines(fs, b) for r in arr.tolist()]
+    # Gaussian binomial [b choose 2]_q
+    assert len(lines) == (q**b - 1) * (q ** (b - 1) - 1) // ((q**2 - 1) * (q - 1))
+    assert all(len(line) == q + 1 for line in lines)
+    assert set(lines) == _lines_by_pairs(fs, b)
+
+
+def test_projective_line_condition_on_catalog_tables():
+    # the census and line condition each table gave when every line was
+    # built once per pair of its points
+    want = [(quadric_table(3), {2: 16, 4: 24}, False),
+            (quadric_table(9), {2: 100, 4: 720}, False),
+            (boston_isaacs_table(1, 3), {4: 6, 6: 7}, True),
+            (boston_isaacs_table(1, 5), {4: 7, 6: 24}, True),
+            (boston_isaacs_table(2, 11), {4: 16, 6: 117}, True)]
+    for t, census, line_ok in want:
+        ab, adapted = adapt_basis(t)
+        _, B = build_commutator_matrices(adapted, ab.a, ab.b)
+        assert projective_rank_census(B) == (census, line_ok), t.name
+
+
+def test_line_condition_counts_every_point_of_a_line():
+    # P^1(F_2) is one line of 3 points; diag(Y2, Y1 + Y2) has full rank
+    # only at (0, 1), the point of the line's second echelon row, and
+    # diag(Y1, Y1 + Y2) only at (1, 0)
+    fs = make_field(2)
+    for (a, b), census in [(((0, 1), (1, 1)), {2: 1, 1: 2}),
+                           (((1, 0), (1, 1)), {2: 1, 1: 2})]:
+        coeffs = [[list(a), [0, 0]], [[0, 0], list(b)]]
+        M = LinearFormMatrix(fs, 2, 2, 2, coeffs)
+        assert projective_rank_census(M) == (census, True)

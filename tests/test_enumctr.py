@@ -100,6 +100,20 @@ def test_oversized_census_is_a_budget_error(monkeypatch):
         rank_distribution(_one_form(make_field(3, 13), 1))
 
 
+def test_oversized_dual_route_is_a_budget_error(monkeypatch):
+    def kernel(*args):
+        raise AssertionError("the kernel started")
+
+    monkeypatch.setattr(pgc.enumctr, "batch_rank", kernel)
+    # |g/z| = m^2 fits an int64, but sums of h = 3 products mod m do not
+    with pytest.raises(BudgetExceeded, match="64-bit integers"):
+        vectors_dual(heisenberg(ModRing(7, 11)), budget=10**28)
+    with pytest.raises(BudgetExceeded, match="64-bit point index"):
+        vectors_dual(heisenberg(ModRing(3, 21)), budget=10**31)
+    with pytest.raises(BudgetExceeded, match="exceed budget"):
+        vectors_dual(heisenberg(ModRing(3, 21)))
+
+
 def test_large_extension_field_census_allocates_no_qn_array():
     fs = make_field(3, 7)
     q = fs.q

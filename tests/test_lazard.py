@@ -10,8 +10,9 @@ from pgc import (
     conjugacy_census, coadjoint_census, centralizer_order,
     vectors_theoremB, vectors_dual,
     free_table, ClassTooLarge, BudgetExceeded,
-    matrix_exp, matrix_log, bch_matrix_sum,
+    matrix_exp, matrix_log, bch_matrix_sum, NonPowerClass,
 )
+import pgc.lazard
 from conftest import heisenberg
 
 
@@ -117,3 +118,27 @@ def test_bch_matrix_sum_is_log_of_product():
     want = matrix_log(_mat_mul(matrix_exp(M), matrix_exp(N)))
     got = bch_matrix_sum(bch(3), M, N)
     assert got == want
+
+
+def test_non_power_class_size_is_a_named_error(monkeypatch):
+    # conjugation swapping e1 and e2 has orbits of size 2, not a power of 3
+    swap = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
+    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda *args: swap)
+    with pytest.raises(NonPowerClass, match="class size 2"):
+        conjugacy_census(heisenberg(make_field(3)))
+
+
+def test_oracle_does_not_import_the_counting_kernels():
+    import ast
+    import inspect
+    from pgc.liecore import smith_mod
+    from pgc.commat import batch_rank
+    banned = {"batch_rank", "smith_mod", "vectors_dual"}
+    tree = ast.parse(inspect.getsource(pgc.lazard))
+    names = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not banned & names
+    values = [id(v) for v in vars(pgc.lazard).values()]
+    assert not {id(batch_rank), id(smith_mod), id(vectors_dual)} & set(values)

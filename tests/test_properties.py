@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from pgc import (
     make_field,
+    ModRing,
     LieRing,
     adapt_basis, build_commutator_matrices,
     rank, pfaffian,
     free_table,
     boston_isaacs_table, quadric_table, fm_table, isaacs_cd_table,
-    vectors_theoremB,
+    vectors_theoremB, vectors_dual,
+    conjugacy_census, coadjoint_census,
     bch, bch_matrix_sum, matrix_exp, matrix_log,
     star, star_inverse,
 )
@@ -27,8 +29,9 @@ N_EVEN_RANK = 300
 N_PFAFFIAN = 200
 N_BCH_MATRIX = 120
 N_STAR_ASSOC = 100
+N_CLASS2_ROUTES = 60
 RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN
-                      + N_BCH_MATRIX + N_STAR_ASSOC)
+                      + N_BCH_MATRIX + N_STAR_ASSOC + N_CLASS2_ROUTES)
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -167,6 +170,53 @@ def test_star_group_axioms_random_points(u, v, w):
     zero = (0,) * 5
     assert star(u, zero, t) == tuple(u)
     assert star(u, star_inverse(u, t), t) == zero
+
+
+@st.composite
+def _class2_pair(draw):
+    """(table, its image under a random unimodular base change, |G|): an
+    alternating map from r bottom coordinates into s central top ones over
+    Z/p^e, or over GF(p) when e = 1, with |G| = p^(e h) <= 10^5."""
+    p, e = draw(st.sampled_from([(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)]))
+    m = p**e
+    r = draw(st.integers(2, 4))
+    s = draw(st.integers(1, 3).filter(lambda s: m ** (r + s) <= 10**5))
+    h = r + s
+    ring = make_field(p) if e == 1 and draw(st.booleans()) else ModRing(p, e)
+    res = st.integers(0, m - 1)
+    table = LieRing(ring, h, {(i, j): {r + k: draw(res) for k in range(s)}
+                              for i in range(r) for j in range(i + 1, r)})
+    # P = product of elementary row operations; Pinv is tracked alongside
+    P = [[int(i == j) for j in range(h)] for i in range(h)]
+    Pinv = [list(row) for row in P]
+    for _ in range(draw(st.integers(0, 3 * h))):
+        i, j = draw(st.permutations(range(h)))[:2]
+        c = draw(st.integers(1, m - 1))
+        P[i] = [(x + c * y) % m for x, y in zip(P[i], P[j])]
+        for row in Pinv:
+            row[j] = (row[j] - c * row[i]) % m
+    brackets = {}
+    for i in range(h):
+        for j in range(i + 1, h):
+            v = table.bracket(P[i], P[j])  # old coordinates; new = v Pinv
+            brackets[(i, j)] = {l: sum(v[k] * Pinv[k][l] for k in range(h)) % m
+                                for l in range(h)}
+    return table, LieRing(ring, h, brackets), m**h
+
+
+@settings(max_examples=N_CLASS2_ROUTES, **_SETTINGS)
+@given(_class2_pair())
+def test_class2_routes_agree_on_random_tables(pair):
+    table, changed, order = pair
+    cc, ch = vectors_dual(changed)
+    assert (cc, ch) == vectors_dual(table)
+    assert cc.mass(1) == ch.mass(2) == order
+    assert cc.total() == ch.total()
+    if not isinstance(changed.ring, ModRing):
+        assert (cc, ch) == vectors_theoremB(changed)
+    if order <= 10**4:
+        assert cc == conjugacy_census(changed)
+        assert ch == coadjoint_census(changed)
 
 
 def test_random_case_budget_is_large():
