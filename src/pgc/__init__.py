@@ -27,7 +27,6 @@ from .liecore import (
     adapt_basis,
     is_adapted,
     base_change,
-    smith_normal_form,
 )
 from .commat import (
     LinearFormMatrix,

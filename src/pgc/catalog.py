@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .field import is_prime, make_field
+from .field import make_field, prime_power
 from .liecore import LieRing, adapt_basis, is_field
 from .commat import build_commutator_matrices, projective_rank_census
 from .enumctr import CountVector, DEFAULT_BUDGET, _exact_div
@@ -24,22 +24,6 @@ class HypothesesFailed(ValueError):
     def __init__(self, reason):
         super().__init__(reason)
         self.reason = reason
-
-
-def _prime_power(q):
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            f = 0
-            t = q
-            while t % d == 0:
-                t //= d
-                f += 1
-            if t != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return d, f
-        d += 1
-    return q, 1
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +55,7 @@ def quadric_table(q):
     [e1,e4]=f2, [e2,e3]=f3, [e2,e4]=f4; its Pfaffian locus is the quadric
     Y1 Y4 = Y2 Y3, which carries lines, so the Pfaffian case formulas must
     reject it."""
-    p, f = _prime_power(q)
+    p, f = prime_power(q)
     fs = make_field(p, f)
     brackets = {(0, 2): {4: 1}, (0, 3): {5: 1}, (1, 2): {6: 1}, (1, 3): {7: 1}}
     return LieRing(fs, 8, brackets, f"quadric({q})")

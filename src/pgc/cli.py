@@ -366,6 +366,8 @@ def _cmd_vectors(args):
 
 
 def _cmd_free(args):
+    if not is_prime(args.p):
+        raise BadInput(f"p = {args.p} is not prime")
     q = args.p ** args.f
     table = None
     if args.emit or args.enumerate or args.json:

@@ -279,9 +279,9 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     zorder = z.order()
     gorder = m**h
     quo_order = gorder // zorder
-    if quo_order > budget or quo_order * dsub.order() > budget:
+    if quo_order + dsub.order() > budget:  # the points ranked
         raise BudgetExceeded(
-            f"|g/z| = {quo_order}, |g'^| = {dsub.order()} exceed budget {budget}"
+            f"|g/z| + |g'^| = {quo_order} + {dsub.order()} exceed budget {budget}"
         )
     if max(quo_order, dsub.order()) >= 1 << 63:
         raise BudgetExceeded("|g/z| or |g'^| does not fit a 64-bit point index")

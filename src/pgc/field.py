@@ -9,19 +9,29 @@ every downstream enumeration reproducible bit for bit.
 from __future__ import annotations
 
 
-def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
+def factorize(n):
+    """{p: e} with n = prod p^e, by trial division; {} for n < 2."""
+    out, d = {}, 2
     while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def is_prime(n):
+    return factorize(n) == {n: 1}
+
+
+def prime_power(q):
+    """(p, f) with q = p^f, f >= 1; ValueError unless q is a prime power."""
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return next(iter(fac.items()))
 
 
 # polynomials over F_p: tuples of ints, low degree first, no trailing zeros
@@ -94,16 +104,7 @@ def _irreducible(poly, p):
     x = (0, 1)
     if _pmod(_psub(_ppowmod(x, p**f, poly, p), x, p), poly, p):
         return False
-    d, ff, primes = 2, f, []
-    while d * d <= ff:
-        if ff % d == 0:
-            primes.append(d)
-            while ff % d == 0:
-                ff //= d
-        d += 1
-    if ff > 1:
-        primes.append(ff)
-    for d in primes:
+    for d in factorize(f):
         g = _pgcd(poly, _psub(_ppowmod(x, p ** (f // d), poly, p), x, p), p)
         if len(g) - 1 > 0:
             return False

@@ -9,6 +9,7 @@ products are parenthesized, e.g. "(xyy)(xy)".
 
 from __future__ import annotations
 
+from .field import factorize, prime_power
 from .liecore import LieRing
 from .enumctr import ClassTooLarge, CountVector, InexactDivision, _exact_div
 
@@ -22,24 +23,15 @@ class UnknownFixture(KeyError):
 
 
 def _mobius(n):
-    m = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            m = -m
-        d += 1
-    if n > 1:
-        m = -m
-    return m
+    fac = factorize(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
 
 
 def witt(r, i):
     """W_r(i) = (1/i) sum_{d | i} mu(d) r^{i/d}; dimension of the weight-i
     layer of the free Lie algebra on r generators."""
-    assert r >= 2 and i >= 1
+    if r < 2 or i < 1:
+        raise ValueError(f"need r >= 2 generators and weight >= 1, got r = {r}, {i}")
     s = sum(_mobius(d) * r ** (i // d) for d in range(1, i + 1) if i % d == 0)
     q, rem = divmod(s, i)
     assert rem == 0
@@ -124,7 +116,8 @@ def hall_basis(r, c, names=None):
     composite u = [u1, u2], u2 <= v. Order refines weight; within a layer,
     lexicographic by (left-parent index, right-parent index). Generators
     come first, e_1 < ... < e_r."""
-    assert r >= 2 and c >= 1
+    if r < 2 or c < 1:
+        raise ValueError(f"need r >= 2 generators and class >= 1, got r = {r}, c = {c}")
     if names is None:
         names = _default_names(r)
     elements = []
@@ -219,21 +212,13 @@ def free_table(r, c, ring, names=None):
 # closed forms
 
 
-def _char_of(q):
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            return d
-        d += 1
-    return q
-
-
 def class_vector_closed(r, c, q):
     """Class vector of F_{r,c}(F_q) by layer bookkeeping: the centre
     contributes cc_0 = q^{W_r(c)}; weight-i elements (i < c) lie in classes
     of size q^{k(r,c,i)}. Keys are exponents of q."""
-    if _char_of(q) <= c:
-        raise ClassTooLarge(f"char {_char_of(q)} <= c = {c}")
+    p = prime_power(q)[0]
+    if p <= c:
+        raise ClassTooLarge(f"char {p} <= c = {c}")
     entries = {0: q ** witt(r, c)}
     for i in range(1, c):
         j = k_exponent(r, c, i)
@@ -277,8 +262,9 @@ def char_count_degree_q(r, c, q):
     """Number of degree-q characters of F_{r,c}(F_q) for c > 2."""
     if c <= 2:
         raise ValueError("formula applies to class c > 2 only")
-    if _char_of(q) <= c:
-        raise ClassTooLarge(f"char {_char_of(q)} <= c = {c}")
+    p = prime_power(q)[0]
+    if p <= c:
+        raise ClassTooLarge(f"char {p} <= c = {c}")
     e = (r - 1) * (c - 1)
     num = q ** (r - 2) * (q**r - 1) * (q ** (e + 1) + q**e - q**r - 1)
     return _exact_div(num, q**2 - 1)

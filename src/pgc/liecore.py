@@ -230,104 +230,53 @@ def invert_matrix(rows, fs):
 
 
 # ---------------------------------------------------------------------------
-# integer Smith normal form (for Z/p^e subobjects)
-
-
-def smith_normal_form(A):
-    """S = U A V with U, V unimodular, S diagonal, d_i | d_{i+1}, d_i >= 0.
-
-    Only the column side is tracked: returns (S, V, Vinv) as lists of
-    lists of ints, with Vinv the exact inverse of V. U is not built.
-    """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    S = [list(r) for r in A]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-    Vinv = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        S[i], S[j] = S[j], S[i]
-
-    def swap_cols(i, j):
-        for r in S:
-            r[i], r[j] = r[j], r[i]
-        for r in V:
-            r[i], r[j] = r[j], r[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def addmul_row(dst, src, c):
-        S[dst] = [x + c * y for x, y in zip(S[dst], S[src])]
-
-    def addmul_col(dst, src, c):
-        for r in S:
-            r[dst] += c * r[src]
-        for r in V:
-            r[dst] += c * r[src]
-        # V <- V (I + c E_src,dst), so Vinv <- (I - c E_src,dst) Vinv
-        Vinv[src] = [x - c * y for x, y in zip(Vinv[src], Vinv[dst])]
-
-    t = 0
-    while t < min(n, m):
-        # pivot: smallest nonzero absolute value in the remaining block
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if S[i][j] and (best is None or abs(S[i][j]) < abs(S[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        while True:
-            done = True
-            for i in range(t + 1, n):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    addmul_row(i, t, -q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        done = False
-            for j in range(t + 1, m):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    addmul_col(j, t, -q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        # divisibility fix-up: fold any non-multiple into column t and redo
-        piv = S[t][t]
-        bad = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if S[i][j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            addmul_row(t, bad, 1)
-            continue
-        if S[t][t] < 0:
-            S[t] = [-x for x in S[t]]
-        t += 1
-    return S, V, Vinv
+# Smith form over the local ring Z/p^e (for Z/p^e subobjects)
 
 
 def smith_mod(vectors, m, h):
     """Smith data (d, V, Vinv) of the subgroup M of (Z/m)^h generated by
-    the vectors: the SNF of the vectors stacked on m I_h.
+    the vectors, m = p^e: U A V = diag(d) mod m for the matrix A of the
+    vectors, with U and V invertible mod m and Vinv V = I mod m.
 
-    Every d_i divides m. M is the direct sum of the <d_i Vinv_i> (rows of
-    Vinv), of orders m / d_i; v in M has coordinates (v V)_i / d_i. The
-    quotient (Z/m)^h / M is the sum of the Z/d_i, with coset
-    representatives sum_i t_i Vinv_i, 0 <= t_i < d_i.
+    Each step takes an entry of least valuation, keyed by gcd(x, m) as in
+    commat._batch_length, moves it to the diagonal, scales its row by the
+    inverse of its unit part and clears its row and column. Every other
+    entry is then a multiple of the pivot, so each d_i is a power of p,
+    d_i | d_{i+1}, and d_i = m where M has no summand. V and Vinv are
+    residues mod m.
+
+    M is the direct sum of the <d_i Vinv_i> (rows of Vinv), of orders
+    m / d_i; v in M has coordinates (v V)_i / d_i. The quotient
+    (Z/m)^h / M is the sum of the Z/d_i, with coset representatives
+    sum_i t_i Vinv_i, 0 <= t_i < d_i.
     """
-    rows = [[int(x) % m for x in v] for v in vectors]
-    rows += [[m if i == j else 0 for j in range(h)] for i in range(h)]
-    S, V, Vinv = smith_normal_form(rows)
-    return [S[i][i] for i in range(h)], V, Vinv
+    S = [[int(x) % m for x in v] for v in vectors]
+    V = [[int(i == j) for j in range(h)] for i in range(h)]
+    Vinv = [list(row) for row in V]
+    d = [m] * h
+    for t in range(min(len(S), h)):
+        g, i, j = min((gcd(x, m), i, j) for i in range(t, len(S))
+                      for j, x in enumerate(S[i][t:], t))
+        if g == m:
+            break
+        S[t], S[i] = S[i], S[t]
+        for row in S + V:
+            row[t], row[j] = row[j], row[t]
+        Vinv[t], Vinv[j] = Vinv[j], Vinv[t]
+        uinv = pow(S[t][t] // g, -1, m)
+        piv = S[t] = [x * uinv % m for x in S[t]]
+        for row in S[t + 1:]:
+            c = row[t] // g
+            if c:
+                row[:] = [(x - c * y) % m for x, y in zip(row, piv)]
+        for k in range(t + 1, h):
+            c = piv[k] // g
+            if c:  # column k -= c column t, so Vinv row t += c row k
+                for row in V:
+                    row[k] = (row[k] - c * row[t]) % m
+                Vinv[t] = [(x + c * y) % m for x, y in zip(Vinv[t], Vinv[k])]
+        d[t] = g
+    return d, V, Vinv
 
 
 class SubspaceBasis:
@@ -380,23 +329,14 @@ def span_mod(vectors, ring, h):
 def kernel_mod(C, ring):
     """Generators and orders of {x in (Z/m)^n : x C = 0 mod m}.
 
-    With S = U C^T V, x C = 0 iff y = V^{-1} x^T has d_i y_i = 0 mod m, so
-    the generators are the columns of V, column i scaled by m / gcd(d_i, m);
-    d_i = 0 (or i past the diagonal) leaves y_i free, of order m."""
-    m = ring.m
-    n = len(C)
-    if n == 0:
-        return [], []
-    S, V, _ = smith_normal_form([list(col) for col in zip(*C)])
-    gens, orders = [], []
-    for i in range(n):
-        g = gcd(S[i][i], m) if i < len(S) else m
-        if g == 1:
-            continue
-        step = m // g
-        gens.append(tuple(step * row[i] % m for row in V))
-        orders.append(g)
-    return gens, orders
+    With U C^T V = diag(d), x C = 0 iff y = V^{-1} x^T has d_i y_i = 0
+    mod m, so the generators are the columns of V, column i scaled by
+    m / d_i and of order d_i."""
+    m, n = ring.m, len(C)
+    d, V, _ = smith_mod(list(zip(*C)), m, n)
+    gens = [tuple(m // di * row[i] % m for row in V)
+            for i, di in enumerate(d) if di != 1]
+    return gens, [di for di in d if di != 1]
 
 
 # ---------------------------------------------------------------------------

@@ -53,3 +53,22 @@ def modular_pool():
         LieRing(ModRing(3, 2), 4,
                 {(0, 1): {2: 1}, (0, 3): {2: 3}}, "fattened heisenberg Z/9"),
     ]
+
+
+def change_basis(table, m, ops):
+    """The table in the basis P e, with P the product of the elementary row
+    operations (i, j, c), row i += c row j, over Z/m (GF(p) when m = p)."""
+    h = table.h
+    P = [[int(i == j) for j in range(h)] for i in range(h)]
+    Pinv = [list(row) for row in P]  # tracked alongside P
+    for i, j, c in ops:
+        P[i] = [(x + c * y) % m for x, y in zip(P[i], P[j])]
+        for row in Pinv:
+            row[j] = (row[j] - c * row[i]) % m
+    brackets = {}
+    for i in range(h):
+        for j in range(i + 1, h):
+            v = table.bracket(P[i], P[j])  # old coordinates; new = v Pinv
+            brackets[(i, j)] = {l: sum(v[k] * Pinv[k][l] for k in range(h)) % m
+                                for l in range(h)}
+    return LieRing(table.ring, h, brackets)

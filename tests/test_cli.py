@@ -322,6 +322,20 @@ def test_free_closed_form_needs_small_class(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["free", "-r", "2", "-c", "2", "-p", "15"],  # q = 15 is no prime power
+    ["free", "-r", "2", "-c", "2", "-p", "9"],  # 9 is no prime
+    ["free", "-r", "1", "-c", "2", "-p", "5"],
+    ["free", "-r", "2", "-c", "0", "-p", "5"],
+    ["fit", "-r", "1", "-c", "2", "--target", "k", "--at", "3,5,7"],
+    ["fit", "-r", "2", "-c", "2", "--target", "k", "--at", "15,21,33"],
+])
+def test_free_and_fit_reject_bad_parameters(argv, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("pgc: error:")
+
+
 # ---------------------------------------------------------------------------
 # oracle
 

@@ -1,6 +1,7 @@
 """Rank censuses, the two counting routes, and exact interpolation."""
 
 import itertools
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -19,7 +20,7 @@ from pgc import (
 )
 import pgc.enumctr
 from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision
-from conftest import heisenberg, dual_pool
+from conftest import change_basis, heisenberg, dual_pool
 
 
 def test_heisenberg_rank_loci():
@@ -114,6 +115,14 @@ def test_oversized_dual_route_is_a_budget_error(monkeypatch):
         vectors_dual(heisenberg(ModRing(3, 21)))
 
 
+def test_dual_route_budget_counts_the_points_ranked():
+    # |g/z| + |g'^| = 6561 + 81 points are ranked, not their product
+    cc, ch = vectors_dual(heisenberg(ModRing(3, 4)), budget=10**4)
+    assert cc.total() == ch.total()
+    with pytest.raises(BudgetExceeded, match="exceed budget"):
+        vectors_dual(heisenberg(ModRing(3, 4)), budget=6641)
+
+
 def test_large_extension_field_census_allocates_no_qn_array():
     fs = make_field(3, 7)
     q = fs.q
@@ -169,6 +178,19 @@ def test_dual_route_heisenberg_z9():
     assert dict(ch.items()) == {0: 81, 1: 18, 2: 6}
     k, s = class_number(t)
     assert k == 105
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dual_route_in_a_dense_basis(seed):
+    t = free_table(3, 2, ModRing(5, 2))
+    rng = random.Random(seed)
+    ops = [(*rng.sample(range(t.h), 2), rng.randrange(1, 25))
+           for _ in range(6 * t.h)]
+    dense = change_basis(t, 25, ops)
+    t0 = time.perf_counter()
+    got = vectors_dual(dense)
+    assert time.perf_counter() - t0 < 1
+    assert got == vectors_dual(t)
 
 
 def test_matrix_and_dual_agree_on_prime_fields():

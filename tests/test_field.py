@@ -4,13 +4,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pgc import make_field, is_prime
-from pgc.field import _irreducible
+from pgc.field import _irreducible, factorize, prime_power
 
 
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
+
+
+def test_factorize_and_prime_power():
+    assert factorize(1) == {}
+    assert factorize(360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(169) == {13: 2}
+    assert [prime_power(q) for q in (2, 9, 125, 4096)] == \
+        [(2, 1), (3, 2), (5, 3), (2, 12)]
+    for q in (0, 1, 6, 15, 100):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power(q)
 
 
 def test_make_field_rejects_bad_parameters():

@@ -17,6 +17,11 @@ from pgc import (
 def test_witt_numbers():
     assert [witt(2, i) for i in range(1, 7)] == [2, 1, 2, 3, 6, 9]
     assert [witt(3, i) for i in range(1, 5)] == [3, 3, 8, 18]
+    for r, i in [(1, 2), (2, 0)]:
+        with pytest.raises(ValueError):
+            witt(r, i)
+        with pytest.raises(ValueError):
+            hall_basis(r, i)
 
 
 def test_free_dimension():

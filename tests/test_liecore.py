@@ -1,6 +1,8 @@
-"""Structure-constant tables: validation, series, adapted bases, SNF."""
+"""Structure-constant tables: validation, series, adapted bases, Smith form."""
 
+import time
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -8,7 +10,7 @@ from pgc import (
     make_field, ModRing, LieRing,
     AntisymmetryViolation, JacobiViolation, NotNilpotent,
     validate, derived, centre, lower_central_series, nilpotency_class,
-    adapt_basis, is_adapted, base_change, smith_normal_form,
+    adapt_basis, is_adapted, base_change,
     free_table, vectors_theoremB,
 )
 from pgc.liecore import smith_mod, span_mod, kernel_mod
@@ -95,22 +97,27 @@ def test_base_change_extends_scalars():
     assert dict(a[1].items()) == dict(b[1].items()) == {0: 81, 2: 8}
 
 
+# Integer matrices with known Smith forms over Z; over Z/m their local
+# Smith forms are the gcds with m of the integer invariant factors.
+LOCAL_MODULI = (8, 9, 27, 49, 169)
+
+
 def test_smith_normal_form_known():
-    A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    S, V, Vinv = smith_normal_form(A)
-    d = [S[i][i] for i in range(3)]
-    assert d == [2, 2, 156]
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                assert S[i][j] == 0
-    assert _matmul(V, Vinv) == _identity(3)
+    A = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]  # Smith form (2, 2, 156) over Z
+    for m in LOCAL_MODULI:
+        d, V, Vinv = smith_mod(A, m, 3)
+        assert d == [gcd(x, m) for x in (2, 2, 156)]
+        assert _matmul_mod(V, Vinv, m) == _identity(3)
+        # column j of A V lies in d_j Z/m, as it does in U^-1 diag(d)
+        assert all(x % m % di == 0 for row in _matmul(A, V) for x, di in zip(row, d))
 
 
 def test_smith_divisibility_chain():
-    A = [[6, 10], [15, 4]]
-    S, _, _ = smith_normal_form(A)
-    assert S[1][1] % S[0][0] == 0
+    A = [[6, 10], [15, 4]]  # Smith form (1, 126) over Z
+    for m in LOCAL_MODULI:
+        d, _, _ = smith_mod(A, m, 2)
+        assert d == [gcd(x, m) for x in (1, 126)]
+        assert d[1] % d[0] == 0 and m % d[1] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +130,10 @@ def _identity(n):
 
 def _matmul(A, B):
     return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def _matmul_mod(A, B, m):
+    return [[x % m for x in row] for row in _matmul(A, B)]
 
 
 def _generated(gens, m, h):
@@ -160,8 +171,8 @@ def test_smith_mod_subgroup_and_cosets(p, e, h, gens):
     m = p**e
     M = _generated(gens, m, h)
     d, V, Vinv = smith_mod(gens, m, h)
-    assert _matmul(V, Vinv) == _identity(h)
-    assert all(m % di == 0 for di in d)
+    assert _matmul_mod(V, Vinv, m) == _identity(h)
+    assert all(di in {p**k for k in range(e + 1)} for di in d)
     sub = span_mod(gens, ModRing(p, e), h)
     assert sub.order() == len(M)
     assert _generated(sub.vectors, m, h) == M
@@ -189,6 +200,7 @@ KERNEL_CASES = [
     (2, 3, [[2], [4], [0]]),
     (3, 2, [[0, 0], [0, 0]]),
     (5, 2, [[5, 0, 10], [0, 5, 0], [10, 5, 5]]),
+    (5, 2, [[1, 22, 2], [8, 21, 21], [2, 19, 4]]),  # dense, kernel Z/5 + Z/25
 ]
 
 
@@ -202,6 +214,18 @@ def test_kernel_mod_brute_force(p, e, C):
     assert _generated(gens, m, n) == want
     for g, o in zip(gens, orders):
         assert len(_generated([g], m, n)) == o
+
+
+def test_smith_mod_dense_vectors_in_milliseconds():
+    # dense (Z/25)^6 vectors on which an integer Smith form over Z, never
+    # reduced mod m, grows entries of thousands of bits
+    gens = [(15, 2, 17, 7, 21, 0), (0, 14, 13, 4, 14, 10),
+            (20, 17, 6, 2, 10, 20), (0, 7, 21, 12, 18, 10)]
+    t0 = time.perf_counter()
+    sub = span_mod(gens, ModRing(5, 2), 6)
+    assert time.perf_counter() - t0 < 0.01
+    assert sub.orders == [25, 25, 25, 5]
+    assert sub.order() == len(_generated(gens, 25, 6)) == 78125
 
 
 def test_centre_order_brute_force():

@@ -22,7 +22,11 @@ from pgc import (
     bch, bch_matrix_sum, matrix_exp, matrix_log,
     star, star_inverse,
 )
+from pgc.liecore import smith_mod, span_mod
 from pgc.lazard import _mat_mul
+
+from conftest import change_basis
+from test_liecore import _generated, _identity, _matmul_mod
 
 N_BILINEAR = 400
 N_EVEN_RANK = 300
@@ -30,8 +34,9 @@ N_PFAFFIAN = 200
 N_BCH_MATRIX = 120
 N_STAR_ASSOC = 100
 N_CLASS2_ROUTES = 60
-RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN
-                      + N_BCH_MATRIX + N_STAR_ASSOC + N_CLASS2_ROUTES)
+N_SMITH_CLOSURE = 60
+RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN + N_BCH_MATRIX
+                      + N_STAR_ASSOC + N_CLASS2_ROUTES + N_SMITH_CLOSURE)
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -186,22 +191,9 @@ def _class2_pair(draw):
     res = st.integers(0, m - 1)
     table = LieRing(ring, h, {(i, j): {r + k: draw(res) for k in range(s)}
                               for i in range(r) for j in range(i + 1, r)})
-    # P = product of elementary row operations; Pinv is tracked alongside
-    P = [[int(i == j) for j in range(h)] for i in range(h)]
-    Pinv = [list(row) for row in P]
-    for _ in range(draw(st.integers(0, 3 * h))):
-        i, j = draw(st.permutations(range(h)))[:2]
-        c = draw(st.integers(1, m - 1))
-        P[i] = [(x + c * y) % m for x, y in zip(P[i], P[j])]
-        for row in Pinv:
-            row[j] = (row[j] - c * row[i]) % m
-    brackets = {}
-    for i in range(h):
-        for j in range(i + 1, h):
-            v = table.bracket(P[i], P[j])  # old coordinates; new = v Pinv
-            brackets[(i, j)] = {l: sum(v[k] * Pinv[k][l] for k in range(h)) % m
-                                for l in range(h)}
-    return table, LieRing(ring, h, brackets), m**h
+    ops = [(*draw(st.permutations(range(h)))[:2], draw(st.integers(1, m - 1)))
+           for _ in range(draw(st.integers(0, 3 * h)))]
+    return table, change_basis(table, m, ops), m**h
 
 
 @settings(max_examples=N_CLASS2_ROUTES, **_SETTINGS)
@@ -248,3 +240,27 @@ def test_mass_identities_on_enumerated_vectors():
         assert cc.mass(1) == order, t.name
         assert ch.mass(2) == order, t.name
         assert cc.total() == ch.total(), t.name
+
+
+@st.composite
+def _dense_vectors(draw):
+    p, e = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2),
+                                 (5, 2), (2, 3), (3, 3), (7, 2), (2, 4)]))
+    m = p**e
+    h = draw(st.integers(1, 6).filter(lambda h: m**h <= 10**5))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, m - 1)] * h), max_size=h + 1))
+    return p, e, h, gens
+
+
+@settings(max_examples=N_SMITH_CLOSURE, **_SETTINGS)
+@given(_dense_vectors())
+def test_smith_mod_matches_closure_on_dense_vectors(case):
+    p, e, h, gens = case
+    m = p**e
+    d, V, Vinv = smith_mod(gens, m, h)
+    assert _matmul_mod(V, Vinv, m) == _identity(h)
+    assert d == sorted(d) and all(di in {p**k for k in range(e + 1)} for di in d)
+    M = _generated(gens, m, h)
+    sub = span_mod(gens, ModRing(p, e), h)
+    assert sub.order() == len(M)
+    assert _generated(sub.vectors, m, h) == M
