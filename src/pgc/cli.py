@@ -45,7 +45,6 @@ from .enumctr import (
     poly_fit,
 )
 from .freenil import (
-    witt,
     free_table,
     class_vector_closed,
     class_number_closed,
@@ -58,6 +57,7 @@ from .lazard import (
     DEFAULT_ORACLE_BUDGET,
     conjugacy_census,
     coadjoint_census,
+    NonPowerClass,
     NonSquareOrbit,
 )
 from .catalog import (
@@ -372,15 +372,6 @@ def _cmd_free(args):
     table = None
     if args.emit or args.enumerate or args.json:
         table = free_table(args.r, args.c, make_field(args.p, args.f))
-    if args.enumerate:
-        # preflight: the centre of the free table is the top layer, so the
-        # two point counts are q^a and q^b with a, b from Witt numbers
-        a = sum(witt(args.r, i) for i in range(1, args.c))
-        b = sum(witt(args.r, i) for i in range(2, args.c + 1))
-        worst = max(q**a, q**b)
-        if worst > args.budget:
-            raise BudgetExceeded(
-                f"q^{max(a, b)} = {worst} exceeds budget {args.budget}")
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
             fh.write(emit_lie(table))
@@ -723,7 +714,7 @@ def run(argv=None):
             HypothesesFailed, ZeroAlpha) as e:
         _diag(e)
         return 2
-    except NonSquareOrbit as e:
+    except (NonPowerClass, NonSquareOrbit) as e:
         _diag(e)
         return 1
     except ValueError as e:

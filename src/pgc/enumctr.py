@@ -178,11 +178,14 @@ def _field_setup(table):
 def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     """(cc, ch) over GF(p^f): cc[i f] = mu[i] |Z| q^{-i},
     ch[i f] = nu[i] |G/G'| q^{-2i}. All divisions must be exact. workers
-    shards each census over threads (see rank_distribution)."""
+    shards each census over threads (see rank_distribution). Both budgets
+    are checked before either census starts."""
     fs = table.ring
     if not is_field(fs):
         raise ValueError("vectors_theoremB requires a field table")
     adapted, ab, A, B = _field_setup(table)
+    check_points(fs, A.nvars, budget)
+    check_points(fs, B.nvars, budget)
     a, b, h = ab.a, ab.b, table.h
     q, f = fs.q, fs.f
     zdim = h - a

@@ -3,9 +3,12 @@
 The group exp(g) = (g, *) has the same underlying set as the Lie ring; the
 product is the truncated Hausdorff series u*v = sum_{i<=c} F_i(u,v) with
 exact rational coefficients, well defined whenever p > c. Everything here
-is deliberately independent of the counting machinery: conjugacy classes
-come from orbit closure under conjugation, character degrees from co-adjoint
-orbits on residue-tuple characters (orbit size q^{2i} <-> degree q^i).
+is deliberately independent of the counting machinery: by the orbit method
+both censuses are orbit counts of the one group generated by the Ad_g on
+the flat additive group (Z/n)^N. Conjugacy classes are the orbits of the
+Ad_g on g; characters are the orbits of their transposes on the dual
+(orbit size q^{2i} <-> degree q^i). Each generator becomes one permutation
+of the element indices, and the orbits close by min-label propagation.
 
 Group elements are plain coordinate tuples over the table's ring.
 """
@@ -16,6 +19,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+
+import numpy as np
 
 from .liecore import ModRing, is_field, nilpotency_class
 from .commat import BudgetExceeded
@@ -291,10 +296,22 @@ def star_inverse(x, table):
 # ---------------------------------------------------------------------------
 # censuses
 
-def _group_order(table):
-    R = table.ring
-    card = R.q if is_field(R) else R.m
-    return card**table.h
+# The additive group of the table is (Z/n)^N after flattening: n = p^e for
+# modular rings (N = h), n = p for fields (N = h f, basis t^s e_i). An
+# element, and a character through the dot-product pairing, is a residue
+# tuple, coded as the mixed-radix index sum_l d_l n^l. Conjugation by g is
+# the linear map Ad_g; g acts on characters by the transpose of Ad_g^{-1}.
+
+_CHUNK = 1 << 16
+
+
+def _flat_model(table):
+    R, h = table.ring, table.h
+    if isinstance(R, ModRing):
+        return R.m, h, None
+    if R.f == 1:
+        return R.p, h, None
+    return R.p, h * R.f, R.f
 
 
 def _generators(table):
@@ -319,17 +336,56 @@ def _ad_rows(table, g, series=None):
             for l in range(table.h)]
 
 
-def _apply_rows(rows, v, R, h):
-    out = [R.zero()] * h
-    for l in range(h):
-        c = v[l]
-        if R.is_zero(c):
-            continue
-        row = rows[l]
-        for k in range(h):
-            if not R.is_zero(row[k]):
-                out[k] = R.add(out[k], R.mul(c, row[k]))
-    return tuple(out)
+def _flat_matrix(table, rows, f):
+    """Ad_g over Z/n on the flat model. When f > 1, flat basis vector
+    l = i f + s is t^s e_i, and Ad_g is GF(q)-linear, so its row is t^s
+    times row i, split into base-p digits."""
+    if f is None:
+        return np.array(rows, dtype=np.int64)
+    R = table.ring
+    scalars = [R.from_int(R.p**s) for s in range(f)]
+    return np.array([[d for c in row for d in R.mul(t, c)]
+                     for row in rows for t in scalars], dtype=np.int64)
+
+
+def _orbit_sizes(table, budget, transpose, series=None):
+    """{orbit size: #orbits} of the group generated by the Ad_g (their
+    transposes when `transpose`) on (Z/n)^N. Each generator becomes one
+    permutation P of the indices. Labels fall to the least index of their
+    orbit under label = min(label, label[P]), and each round squares every
+    P, so one round covers twice the stretch of a cycle. Ad_g has p-power
+    order, odd unless Ad_g = 1 (p = 2 forces class 1), so P^2 generates
+    the same cyclic group as P, and P^{-1} is a power of P: at the fixed
+    point the labels are constant on the orbits."""
+    n, N, f = _flat_model(table)
+    order = n**N
+    if order > budget:
+        what = "|dual|" if transpose else "|G|"
+        raise BudgetExceeded(f"{what} = {order} exceeds oracle budget {budget}")
+    mats = [_flat_matrix(table, _ad_rows(table, g, series), f)
+            for g in _generators(table)]
+    if transpose:
+        mats = [A.T for A in mats]
+    radix = n ** np.arange(N, dtype=np.int64)
+    perms = np.empty((len(mats), order), dtype=np.int64)
+    for start in range(0, order, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, order), dtype=np.int64)
+        digits = idx[:, None] // radix % n
+        for P, A in zip(perms, mats):
+            P[start:start + len(idx)] = digits @ A % n @ radix
+    label = np.arange(order, dtype=np.int64)
+    while True:
+        new = label
+        for P in perms:
+            new = np.minimum(new, new[P])
+        if np.array_equal(new, label):
+            break
+        label = new
+        for P in perms:
+            P[:] = P[P]
+    sizes, count = np.unique(np.unique(label, return_counts=True)[1],
+                             return_counts=True)
+    return dict(zip(sizes.tolist(), count.tolist()))
 
 
 def _p_power_exponent(n, p):
@@ -341,36 +397,31 @@ def _p_power_exponent(n, p):
 
 
 def conjugacy_census(table, budget=DEFAULT_ORACLE_BUDGET, series=None):
-    """cc by closing conjugation orbits over the full element set.
-    Conjugation by a fixed g is the linear map Ad_g, so orbits close under
-    the per-generator matrices; generator closure suffices because Ad_g has
-    p-power order."""
-    order = _group_order(table)
-    if order > budget:
-        raise BudgetExceeded(f"|G| = {order} exceeds oracle budget {budget}")
-    R, h = table.ring, table.h
-    p = R.p
-    ad = [_ad_rows(table, g, series) for g in _generators(table)]
-    visited = set()
+    """cc from the conjugation orbits on the full element set. Conjugation
+    by a fixed g is the linear map Ad_g; generator closure suffices because
+    Ad_g has p-power order."""
+    R = table.ring
     cc = {}
-    for u in itertools.product(R.elements(), repeat=h):
-        if u in visited:
-            continue
-        orbit = {u}
-        queue = [u]
-        while queue:
-            v = queue.pop()
-            for rows in ad:
-                w = _apply_rows(rows, v, R, h)
-                if w not in orbit:
-                    orbit.add(w)
-                    queue.append(w)
-        visited |= orbit
-        i = _p_power_exponent(len(orbit), p)
+    for size, count in _orbit_sizes(table, budget, False, series).items():
+        i = _p_power_exponent(size, R.p)
         if i is None:
-            raise NonPowerClass(f"class size {len(orbit)}")
-        cc[i] = cc.get(i, 0) + 1
-    return CountVector(cc, q=R.q if is_field(R) else 1, p=p)
+            raise NonPowerClass(f"class size {size}")
+        cc[i] = count
+    return CountVector(cc, q=R.q if is_field(R) else 1, p=R.p)
+
+
+def coadjoint_census(table, budget=DEFAULT_ORACLE_BUDGET, series=None):
+    """ch from the co-adjoint orbits: g sends omega to omega o Ad_g^{-1},
+    and the Ad_g^{-1} generate the same group as the Ad_g; an orbit of size
+    p^{2i} contributes one character of degree p^i."""
+    R = table.ring
+    ch = {}
+    for size, count in _orbit_sizes(table, budget, True, series).items():
+        i = _p_power_exponent(size, R.p)
+        if i is None or i % 2:
+            raise NonSquareOrbit(f"orbit size {size}")
+        ch[i // 2] = count
+    return CountVector(ch, q=R.q if is_field(R) else 1, p=R.p)
 
 
 def centralizer_order(table, x, series=None):
@@ -381,77 +432,3 @@ def centralizer_order(table, x, series=None):
         if star(g, x, table, series) == star(x, g, table, series):
             count += 1
     return count
-
-
-# ---------------------------------------------------------------------------
-# co-adjoint orbits
-
-# The additive group of the table is (Z/n)^N after flattening: n = p^e for
-# modular rings (N = h), n = p for fields (N = h f, basis t^s e_i). Its
-# Pontryagin dual is again (Z/n)^N via the dot-product pairing, so a
-# character is a residue tuple and never a complex number.
-
-
-def _flat_model(table):
-    R, h = table.ring, table.h
-    if isinstance(R, ModRing):
-        return R.m, h, None
-    if R.f == 1:
-        return R.p, h, None
-    return R.p, h * R.f, R.f
-
-
-def _flatten(v, f):
-    if f is None:
-        return tuple(v)
-    return tuple(d for coord in v for d in coord)
-
-
-def coadjoint_census(table, budget=DEFAULT_ORACLE_BUDGET, series=None):
-    """ch by closing co-adjoint orbits: g sends omega to omega o Ad_g^{-1};
-    an orbit of size p^{2i} contributes one character of degree p^i."""
-    order = _group_order(table)
-    if order > budget:
-        raise BudgetExceeded(f"|dual| = {order} exceeds oracle budget {budget}")
-    R, h = table.ring, table.h
-    p = R.p
-    n, N, f = _flat_model(table)
-    # row matrix over Z/n of Ad_{g^{-1}} in flat coordinates, one per gen
-    mats = []
-    for g in _generators(table):
-        rows = _ad_rows(table, star_inverse(g, table), series)
-        flat_rows = []
-        for l in range(N):
-            if f is None:
-                src = rows[l]
-            else:
-                # flat basis vector l is t^s e_i; Ad is GF(q)-linear, so its
-                # flat matrix rows are just Ad evaluated on those vectors
-                i, s = divmod(l, f)
-                t_s = R.from_int(p**s)
-                src = _apply_rows(rows, tuple(
-                    R.mul(t_s, c) for c in table.basis_vector(i)), R, h)
-            flat_rows.append(_flatten(src, f))
-        mats.append(flat_rows)
-    visited = set()
-    ch = {}
-    for c0 in itertools.product(range(n), repeat=N):
-        if c0 in visited:
-            continue
-        orbit = {c0}
-        queue = [c0]
-        while queue:
-            cv = queue.pop()
-            for rows in mats:
-                # new coords: omega'(u) = omega(A u) => c'_l = sum_k R[l][k] c_k
-                nc = tuple(sum(rows[l][k] * cv[k] for k in range(N)) % n
-                           for l in range(N))
-                if nc not in orbit:
-                    orbit.add(nc)
-                    queue.append(nc)
-        visited |= orbit
-        i = _p_power_exponent(len(orbit), p)
-        if i is None or i % 2:
-            raise NonSquareOrbit(f"orbit size {len(orbit)}")
-        ch[i // 2] = ch.get(i // 2, 0) + 1
-    return CountVector(ch, q=R.q if is_field(R) else 1, p=p)

@@ -16,6 +16,8 @@ import sys
 
 import pytest
 
+import pgc.enumctr
+import pgc.lazard
 from pgc import make_field, LieRing, ModRing, validate, pfaffian_case_vectors
 from pgc.cli import (
     run, parse_lie, emit_lie,
@@ -317,6 +319,19 @@ def test_free_enumerate_budget_preflight_exit_3(capsys):
     assert "exceeds budget" in capsys.readouterr().err
 
 
+def test_vectors_refuses_an_oversized_census_before_ranking(tmp_path, capsys,
+                                                          monkeypatch):
+    def kernel(*args):
+        raise AssertionError("a census started")
+
+    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    f = str(tmp_path / "f25.lie")
+    assert run(["free", "-r", "2", "-c", "5", "-p", "7", "--emit", f]) == 0
+    capsys.readouterr()
+    assert run(["vectors", f]) == 3
+    assert "exceeds budget" in capsys.readouterr().err
+
+
 def test_free_closed_form_needs_small_class(capsys):
     assert run(["free", "-r", "2", "-c", "3", "-p", "3"]) == 2
     capsys.readouterr()
@@ -351,6 +366,21 @@ def test_oracle_both_censuses(tmp_path, capsys):
     assert capsys.readouterr().out == "size 3^0 : 3\nsize 3^1 : 8\nk = 11\n"
     assert run(["oracle", f, "--budget", "10"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag, rows, message", [
+    # swapping e1 and e2: classes of size 2, not a power of 3
+    ("--classes", [(0, 1, 0), (1, 0, 0), (0, 0, 1)], "class size 2"),
+    # e1 -> e1 + e2: co-adjoint orbits of size 3, not an even power of 3
+    ("--orbits", [(1, 1, 0), (0, 1, 0), (0, 0, 1)], "orbit size 3"),
+])
+def test_oracle_orbit_size_failures_exit_1(tmp_path, capsys, monkeypatch,
+                                           flag, rows, message):
+    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda *args: rows)
+    f = _write(tmp_path, HEIS5.replace("p=5", "p=3"))
+    assert run(["oracle", f, flag]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,16 @@ def test_oversized_census_is_a_budget_error(monkeypatch):
         rank_distribution(_one_form(make_field(3, 13), 1))
 
 
+def test_theoremB_checks_both_budgets_before_either_census(monkeypatch):
+    # f(2,5)/GF(7): A has 7^8 points, within the default budget; B has 7^12
+    def kernel(*args):
+        raise AssertionError("a census started")
+
+    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    with pytest.raises(BudgetExceeded, match="exceeds budget"):
+        vectors_theoremB(free_table(2, 5, make_field(7)))
+
+
 def test_oversized_dual_route_is_a_budget_error(monkeypatch):
     def kernel(*args):
         raise AssertionError("the kernel started")

@@ -1,5 +1,7 @@
 """Hausdorff group law and the brute-force censuses."""
 
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,7 @@ from pgc import (
     conjugacy_census, coadjoint_census, centralizer_order,
     vectors_theoremB, vectors_dual,
     free_table, ClassTooLarge, BudgetExceeded,
-    matrix_exp, matrix_log, bch_matrix_sum, NonPowerClass,
+    matrix_exp, matrix_log, bch_matrix_sum, NonPowerClass, NonSquareOrbit,
 )
 import pgc.lazard
 from conftest import heisenberg
@@ -126,6 +128,36 @@ def test_non_power_class_size_is_a_named_error(monkeypatch):
     monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda *args: swap)
     with pytest.raises(NonPowerClass, match="class size 2"):
         conjugacy_census(heisenberg(make_field(3)))
+
+
+def test_non_square_orbit_size_is_a_named_error(monkeypatch):
+    # Ad = (e1 -> e1 + e2) has co-adjoint orbits of size 3, an odd power
+    shear = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
+    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda *args: shear)
+    with pytest.raises(NonSquareOrbit, match="orbit size 3"):
+        coadjoint_census(heisenberg(make_field(3)))
+
+
+def test_oracle_on_free_24_matches_theoremB():
+    t = free_table(2, 4, make_field(5))  # 390,625 elements
+    start = time.perf_counter()
+    cc = conjugacy_census(t)
+    # the per-element closure took about 50 s here; the orbit closure ~1 s
+    assert time.perf_counter() - start < 20
+    assert cc == vectors_theoremB(t)[0]
+
+
+def test_oracle_memory_is_a_few_arrays_of_group_order():
+    t = heisenberg(ModRing(3, 4))  # 531,441 elements
+    tracemalloc.start()
+    try:
+        cc = conjugacy_census(t)
+        ch = coadjoint_census(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (cc, ch) == vectors_dual(t)
+    assert peak < 64 * 2**20
 
 
 def test_oracle_does_not_import_the_counting_kernels():

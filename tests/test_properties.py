@@ -7,6 +7,7 @@ shrinking one means growing another.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pgc import (
@@ -15,7 +16,7 @@ from pgc import (
     LieRing,
     adapt_basis, build_commutator_matrices,
     rank, pfaffian,
-    free_table,
+    free_table, validate,
     boston_isaacs_table, quadric_table, fm_table, isaacs_cd_table,
     vectors_theoremB, vectors_dual,
     conjugacy_census, coadjoint_census,
@@ -35,8 +36,11 @@ N_BCH_MATRIX = 120
 N_STAR_ASSOC = 100
 N_CLASS2_ROUTES = 60
 N_SMITH_CLOSURE = 60
+N_EXTENSION_ORACLE = 30
+N_FREE_QUOTIENTS = 40
 RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN + N_BCH_MATRIX
-                      + N_STAR_ASSOC + N_CLASS2_ROUTES + N_SMITH_CLOSURE)
+                      + N_STAR_ASSOC + N_CLASS2_ROUTES + N_SMITH_CLOSURE
+                      + N_EXTENSION_ORACLE + N_FREE_QUOTIENTS)
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -206,9 +210,71 @@ def test_class2_routes_agree_on_random_tables(pair):
     assert cc.total() == ch.total()
     if not isinstance(changed.ring, ModRing):
         assert (cc, ch) == vectors_theoremB(changed)
-    if order <= 10**4:
-        assert cc == conjugacy_census(changed)
-        assert ch == coadjoint_census(changed)
+    assert cc == conjugacy_census(changed)
+    assert ch == coadjoint_census(changed)
+
+
+@st.composite
+def _class2_extension_table(draw):
+    """An alternating map from r bottom coordinates into s central top ones
+    over GF(9) or GF(25), with random field constants and |G| <= 10^5."""
+    fs = make_field(*draw(st.sampled_from([(3, 2), (5, 2)])))
+    r = draw(st.integers(2, 4).filter(lambda r: fs.q ** (r + 1) <= 10**5))
+    s = draw(st.integers(1, 3).filter(lambda s: fs.q ** (r + s) <= 10**5))
+    res = st.integers(0, fs.q - 1).map(fs.from_int)
+    return LieRing(fs, r + s, {(i, j): {r + k: draw(res) for k in range(s)}
+                               for i in range(r) for j in range(i + 1, r)})
+
+
+@settings(max_examples=N_EXTENSION_ORACLE, **_SETTINGS)
+@given(_class2_extension_table())
+def test_oracle_equals_theoremB_over_extension_fields(table):
+    cc, ch = vectors_theoremB(table)
+    assert cc == conjugacy_census(table)
+    assert ch == coadjoint_census(table)
+
+
+# (r, c, p) with p > c: the quotients have class c, up to 4
+_FREE_SHAPES = [(2, 4, 5), (3, 3, 5), (2, 3, 5), (2, 3, 7),
+                (3, 2, 3), (3, 2, 5), (3, 2, 7), (4, 2, 3)]
+
+
+@st.composite
+def _free_quotient(draw, r, c, p):
+    """f(r,c) over GF(p) modulo the kernel of a random map Q from its top
+    layer onto GF(p)^k, k >= 1, so the class stays c. The top layer is
+    central, so any subspace of it is an ideal; the quotient has
+    |G| = p^(h - top + k) <= 10^5."""
+    fs = make_field(p)
+    free = free_table(r, c, fs)
+    top = len(free.hall.layers[-1])
+    low = free.h - top
+    k = draw(st.integers(1, top).filter(lambda k: p ** (low + k) <= 10**5))
+    Q = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                      min_size=top, max_size=top)
+             .filter(lambda Q: rank(Q, fs) == k))
+    brackets = {}
+    for (i, j), row in free.lam.items():
+        image = {l: v for l, v in row.items() if l < low}
+        for col in range(k):
+            image[low + col] = sum(row.get(low + u, 0) * Q[u][col]
+                                   for u in range(top)) % p
+        brackets[(i, j)] = image
+    return LieRing(fs, low + k, brackets, f"f({r},{c})/ker Q")
+
+
+@pytest.mark.parametrize("shape", _FREE_SHAPES,
+                         ids=lambda s: "f({},{})/GF({})".format(*s))
+@settings(max_examples=N_FREE_QUOTIENTS // len(_FREE_SHAPES), **_SETTINGS)
+@given(data=st.data())
+def test_routes_agree_on_free_quotients(shape, data):
+    table = data.draw(_free_quotient(*shape))
+    validate(table)
+    cc, ch = vectors_theoremB(table)
+    assert (cc, ch) == vectors_dual(table)
+    assert cc == conjugacy_census(table)
+    assert ch == coadjoint_census(table)
+    assert cc.mass(1) == ch.mass(2) == table.ring.q ** table.h
 
 
 def test_random_case_budget_is_large():
