@@ -24,10 +24,12 @@ t = parse_lie(HEIS)
 print("parsed", t.name, "over", t.ring)
 assert emit_lie(t) == HEIS  # the canonical format round-trips
 
-# the adapted basis puts g' last; here (e1, e2 | e3) already works
-ab, adapted = adapt_basis(t)
-A, B = build_commutator_matrices(adapted, ab.a, ab.b)
-print("a =", ab.a, " b =", ab.b)
+# adapt_basis reads the coordinates off echelon pivots: e1, e2 span g
+# modulo the centre, and e3 is the coordinate on g'
+front, tail = adapt_basis(t)
+assert (front, tail) == ([0, 1], [2])
+A, B = build_commutator_matrices(t)
+print("a =", A.nvars, " b =", B.nvars)
 print("A(X) =")
 print(A)
 print("B(Y) =")

@@ -15,7 +15,7 @@ from collections import Counter
 from pgc import (
     boston_isaacs_table, quadric_table, pfaffian_case_vectors,
     HypothesesFailed, vectors_theoremB, pfaffian,
-    adapt_basis, build_commutator_matrices,
+    build_commutator_matrices,
 )
 
 for p in (5, 7):
@@ -38,8 +38,7 @@ print("g_alpha(2 mod 5):", dict(cc_f.items()), "k =", k_f)
 # the 8-dimensional quadric table has the right rank set but fails the
 # line condition, so the shortcut refuses it; enumeration still works
 tq = quadric_table(3)
-ab, adapted = adapt_basis(tq)
-A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+A, B = build_commutator_matrices(tq)
 fs = tq.ring
 quad = lambda y: fs.sub(fs.mul(y[1], y[2]), fs.mul(y[0], y[3]))
 from itertools import product

@@ -25,12 +25,10 @@ from .liecore import (
     lower_central_series,
     nilpotency_class,
     adapt_basis,
-    is_adapted,
     base_change,
 )
 from .commat import (
     LinearFormMatrix,
-    NotAdapted,
     NotSkew,
     BudgetExceeded,
     build_commutator_matrices,
@@ -75,6 +73,7 @@ from .freenil import (
     class_number_closed,
     char_degrees_closed,
     char_vector_class2,
+    char_vector_closed,
     char_count_degree_q,
     fixture_vectors,
 )

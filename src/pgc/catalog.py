@@ -1,9 +1,9 @@
 """Worked class-2 families: Pfaffian-hypersurface cases and tables with
 prescribed class sizes or character degrees.
 
-All constructors emit tables whose basis is already adapted (cocentre
-representatives first, derived algebra last), so the commutator matrices
-can be read off without re-basing.
+All constructors list cocentre representatives first and the derived
+algebra last, so adapt_basis reads front = 0..a-1 and tail = h-b..h-1 off
+the echelon pivots, and A(X), B(Y) come out as the literature writes them.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .field import make_field, prime_power
-from .liecore import LieRing, adapt_basis, is_field
+from .liecore import LieRing, is_field
 from .commat import build_commutator_matrices, projective_rank_census
 from .enumctr import CountVector, DEFAULT_BUDGET, _exact_div
 
@@ -124,9 +124,8 @@ def pfaffian_case_vectors(table, q=None, budget=DEFAULT_BUDGET):
         raise ValueError(f"q = {q} does not match the table's field {fs.q}")
     q = fs.q
     f, h = fs.f, table.h
-    ab, adapted = adapt_basis(table)
-    a, b = ab.a, ab.b
-    _, B = build_commutator_matrices(adapted, a, b)
+    A, B = build_commutator_matrices(table)
+    a, b = A.nvars, B.nvars
     census, line_ok = projective_rank_census(B, budget)
     n = census.get(a - 2, 0)
     report = PfaffianReport(a=a, b=b, n=n, rank_set=set(census),

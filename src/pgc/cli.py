@@ -30,10 +30,6 @@ from .liecore import (
     centre,
     derived,
     lower_central_series,
-    adapt_basis,
-    AntisymmetryViolation,
-    JacobiViolation,
-    NotNilpotent,
 )
 from .commat import BudgetExceeded, build_commutator_matrices
 from .enumctr import (
@@ -48,10 +44,8 @@ from .freenil import (
     free_table,
     class_vector_closed,
     class_number_closed,
-    char_vector_class2,
-    fixture_vectors,
+    char_vector_closed,
     UnknownFixture,
-    ExceptionalCase,
 )
 from .lazard import (
     DEFAULT_ORACLE_BUDGET,
@@ -60,13 +54,7 @@ from .lazard import (
     NonPowerClass,
     NonSquareOrbit,
 )
-from .catalog import (
-    CATALOG_NAMES,
-    build_entry,
-    pfaffian_case_vectors,
-    HypothesesFailed,
-    ZeroAlpha,
-)
+from .catalog import CATALOG_NAMES, build_entry, pfaffian_case_vectors
 
 
 class LieSyntaxError(SyntaxError):
@@ -203,12 +191,6 @@ def parse_lie(text):
     return LieRing(ring, dim, brackets, name)
 
 
-def _fmt_coeff(c, ring):
-    if isinstance(c, tuple):
-        return "(" + ",".join(str(d) for d in c) + ")"
-    return str(c)
-
-
 def emit_lie(table):
     """Canonical `.lie` text: name, ring, dim, then brackets with i < j
     ascending and targets ascending.  parse -> emit is the identity on
@@ -225,7 +207,7 @@ def emit_lie(table):
     for ij in sorted(table.lam):
         row = table.lam[ij]
         parts = " ".join(
-            f"{_fmt_coeff(row[k], r)} {k + 1}" for k in sorted(row))
+            f"{r.fmt(row[k])} {k + 1}" for k in sorted(row))
         out.append(f"bracket {ij[0] + 1} {ij[1] + 1} : {parts}")
     return "\n".join(out) + "\n"
 
@@ -333,9 +315,8 @@ def _cmd_analyze(args):
         print(f"centre order {z.order()}")
         print(f"derived order {d.order()}")
     if is_field(t.ring):
-        ab, adapted = adapt_basis(t)
-        A, B = build_commutator_matrices(adapted, ab.a, ab.b)
-        print(f"a = {ab.a}  b = {ab.b}")
+        A, B = build_commutator_matrices(t)
+        print(f"a = {A.nvars}  b = {B.nvars}")
         print("A(X):")
         print(str(A))
         print("B(Y):")
@@ -386,13 +367,10 @@ def _cmd_free(args):
         cc = class_vector_closed(args.r, args.c, q)
         k = cc.total()
         method = "closed"
-        if args.c == 2:
-            ch = char_vector_class2(args.r, q)
-        else:
-            try:
-                ch = fixture_vectors(args.r, args.c, q)
-            except UnknownFixture:
-                ch = None
+        try:
+            ch = char_vector_closed(args.r, args.c, q)
+        except UnknownFixture:
+            ch = None
     if args.json:
         _print_json(_json_obj(table, cc, ch, k, method))
     else:
@@ -495,10 +473,7 @@ def _cmd_fit(args):
         vecs = {q: class_vector_closed(r, c, q) for q in nodes}
         label = "cc"
     else:
-        if c == 2:
-            vecs = {q: char_vector_class2(r, q) for q in nodes}
-        else:
-            vecs = {q: fixture_vectors(r, c, q) for q in nodes}
+        vecs = {q: char_vector_closed(r, c, q) for q in nodes}
         label = "ch"
     keys = sorted({i for v in vecs.values() for i in v.entries})
     for i in keys:
@@ -525,14 +500,10 @@ def _closed_paths(t):
     if m and is_field(t.ring):
         r, c = int(m.group(1)), int(m.group(2))
         cc = class_vector_closed(r, c, t.ring.q)
-        ch = None
-        if c == 2:
-            ch = char_vector_class2(r, t.ring.q)
-        else:
-            try:
-                ch = fixture_vectors(r, c, t.ring.q)
-            except UnknownFixture:
-                pass
+        try:
+            ch = char_vector_closed(r, c, t.ring.q)
+        except UnknownFixture:
+            ch = None
         rows.append(("closed", rekey(cc), rekey(ch), cc.total()))
     m = _QUADRIC_NAME.fullmatch(t.name)
     if m and is_field(t.ring):
@@ -708,18 +679,12 @@ def run(argv=None):
     except BudgetExceeded as e:
         _diag(e)
         return 3
-    except (LieSyntaxError, DuplicateBracket, BadCoefficient, BadInput,
-            AntisymmetryViolation, JacobiViolation, NotNilpotent,
-            ClassTooLarge, UnknownFixture, ExceptionalCase,
-            HypothesesFailed, ZeroAlpha) as e:
+    except (LieSyntaxError, UnknownFixture, ValueError) as e:
         _diag(e)
         return 2
     except (NonPowerClass, NonSquareOrbit) as e:
         _diag(e)
         return 1
-    except ValueError as e:
-        _diag(e)
-        return 2
 
 
 def main():

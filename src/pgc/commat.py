@@ -1,10 +1,12 @@
 """Commutator matrices A(X), B(Y) and rank machinery over GF(q) and Z/p^e.
 
 A is a x b in the variables X_1..X_a with A(X)_{ik} = sum_j lambda_ij^k X_j;
-B is the skew a x a matrix with B(Y)_{ij} = sum_k lambda_ij^k Y_k, where k
-runs over the tail window of an adapted basis. Rank loci of A give class
-sizes, of B character degrees. Over Z/p^e the same batched kernel returns
-the length of the row span, for the dual route's image sizes.
+B is the skew a x a matrix with B(Y)_{ij} = sum_k lambda_ij^k Y_k. The e_i
+run over a basis of g modulo the centre and lambda_ij^k is the k-th
+coordinate of [e_i, e_j] in g', both read off echelon pivots by
+adapt_basis. Rank loci of A give class sizes, of B character degrees.
+Over Z/p^e the same batched kernel returns the length of the row span, for
+the dual route's image sizes.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .liecore import ModRing, is_field, is_adapted
-
-
-class NotAdapted(ValueError):
-    pass
+from .liecore import ModRing, adapt_basis
 
 
 class NotSkew(ValueError):
@@ -74,31 +72,20 @@ class LinearFormMatrix:
         return "\n".join(lines)
 
 
-def build_commutator_matrices(table, a, b):
-    """(A, B) for an adapted table: front window 0..a-1, tail window h-b..h-1.
-
-    Raises NotAdapted unless the window conditions hold and all brackets of
-    front-window vectors land in the tail window.
-    """
+def build_commutator_matrices(table):
+    """(A, B) of a field table in the coordinates of adapt_basis: X_j on
+    e_front[j], Y_k on the k-th echelon basis vector of g'."""
     fs = table.ring
-    if not is_field(fs):
-        raise NotAdapted("commutator matrices require a field table")
-    h = table.h
-    if not is_adapted(table, a, b):
-        raise NotAdapted("window conditions fail; run adapt_basis first")
-    off = h - b
+    front, tail = adapt_basis(table)
+    a, b = len(front), len(tail)
     zero = fs.zero()
     acf = [[[zero] * a for _ in range(b)] for _ in range(a)]
     bcf = [[[zero] * b for _ in range(a)] for _ in range(a)]
-    for i in range(a):
-        for j in range(a):
-            for k, c in table.bracket_basis(i, j).items():
-                if k < off:
-                    raise NotAdapted(
-                        f"[e_{i}, e_{j}] has a coordinate outside the tail window"
-                    )
-                acf[i][k - off][j] = c
-                bcf[i][j][k - off] = c
+    for i, fi in enumerate(front):
+        for j, fj in enumerate(front):
+            row = table.bracket_basis(fi, fj)
+            for k, t in enumerate(tail):
+                acf[i][k][j] = bcf[i][j][k] = row.get(t, zero)
     A = LinearFormMatrix(fs, a, b, a, acf)
     B = LinearFormMatrix(fs, a, a, b, bcf, skew=True)
     return A, B

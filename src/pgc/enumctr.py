@@ -23,7 +23,6 @@ import numpy as np
 from .liecore import (
     LieRing,
     ModRing,
-    adapt_basis,
     centre,
     derived,
     is_field,
@@ -170,9 +169,7 @@ def _field_setup(table):
     _, c = lower_central_series(table)
     if c >= fs.p:
         raise ClassTooLarge(f"nilpotency class {c} >= p = {fs.p}")
-    ab, adapted = adapt_basis(table)
-    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
-    return adapted, ab, A, B
+    return build_commutator_matrices(table)
 
 
 def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
@@ -183,10 +180,10 @@ def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     fs = table.ring
     if not is_field(fs):
         raise ValueError("vectors_theoremB requires a field table")
-    adapted, ab, A, B = _field_setup(table)
+    A, B = _field_setup(table)
     check_points(fs, A.nvars, budget)
     check_points(fs, B.nvars, budget)
-    a, b, h = ab.a, ab.b, table.h
+    a, b, h = A.nvars, B.nvars, table.h
     q, f = fs.q, fs.f
     zdim = h - a
     mu = rank_distribution_A(A, budget, workers)
@@ -215,11 +212,11 @@ def class_number(table, budget=DEFAULT_BUDGET):
     tables through the dual route; k = |S| |Z| / |G'| either way."""
     if is_field(table.ring):
         fs = table.ring
-        adapted, ab, A, B = _field_setup(table)
+        A, B = _field_setup(table)
         mu = rank_distribution_A(A, budget)
-        s = s_size_from_mu(mu.entries, ab.b, fs.q)
-        zorder = fs.q ** (table.h - ab.a)
-        dorder = fs.q**ab.b
+        s = s_size_from_mu(mu.entries, B.nvars, fs.q)
+        zorder = fs.q ** (table.h - A.nvars)
+        dorder = fs.q**B.nvars
         k = _exact_div(s * zorder, dorder)
         return k, s
     cc, ch = vectors_dual(table, budget)

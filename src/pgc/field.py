@@ -154,7 +154,8 @@ class FieldSpec:
 
     def from_int(self, n):
         """n in [0, q): base-p digits, low degree first."""
-        assert 0 <= n < self.q
+        if not 0 <= n < self.q:
+            raise ValueError(f"{n} is not in [0, {self.q})")
         if self.f == 1:
             return n
         coords = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .field import factorize, prime_power
 from .liecore import LieRing
-from .enumctr import ClassTooLarge, CountVector, InexactDivision, _exact_div
+from .enumctr import ClassTooLarge, CountVector, _exact_div
 
 
 class ExceptionalCase(ValueError):
@@ -55,7 +55,8 @@ def n_bound(r, c):
 def k_exponent(r, c, i):
     """Class-size exponent of elements of weight i: classes in layer i have
     size q^{k(r,c,i)}."""
-    assert 1 <= i <= c
+    if not 1 <= i <= c:
+        raise ValueError(f"weight i = {i} outside 1..c = {c}")
     delta = 1 if 2 * i < c + 1 else 0
     return -delta + sum(witt(r, l) for l in range(1, c - i + 1))
 
@@ -300,3 +301,12 @@ def fixture_vectors(r, c, q):
     if (r, c) not in _FIXTURES:
         raise UnknownFixture((r, c))
     return CountVector(_FIXTURES[(r, c)](q), q=q)
+
+
+def char_vector_closed(r, c, q):
+    """ch(F_{r,c}(F_q)) in closed form, keyed by exponents of q:
+    char_vector_class2 for c = 2, else fixture_vectors (UnknownFixture off
+    its four pairs)."""
+    if c == 2:
+        return char_vector_class2(r, q)
+    return fixture_vectors(r, c, q)

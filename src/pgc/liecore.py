@@ -3,8 +3,8 @@
 A ring is given by a coefficient domain (GF(p^f) or Z/p^e), a dimension h,
 and the sparse bracket table [e_i, e_j] = sum_k lambda_ij^k e_k stored for
 i < j only. Validation checks antisymmetry, the Jacobi identity, and
-nilpotency. adapt_basis reorders so that positions 1..a project to a basis
-of g/z and the last b positions span g'; those index windows may overlap.
+nilpotency. adapt_basis reads the coordinates Theorem B needs off the
+reduced echelon bases of the centre z and the derived algebra g'.
 
 Indices are 0-based throughout this module; the CLI's text format is 1-based.
 """
@@ -12,6 +12,7 @@ Indices are 0-based throughout this module; the CLI's text format is 1-based.
 from __future__ import annotations
 
 from math import gcd
+from typing import NamedTuple
 
 from .field import FieldSpec, is_prime
 
@@ -206,27 +207,6 @@ def echelon(rows, fs):
         out.append(piv)
         col += 1
     return [tuple(r) for r in out]
-
-
-def in_span(rows, v, fs):
-    """Is v in the row span? rows need not be echelonized."""
-    return len(echelon(list(rows) + [v], fs)) == len(echelon(rows, fs))
-
-
-def invert_matrix(rows, fs):
-    """Inverse of a square matrix given as a list of rows."""
-    n = len(rows)
-    aug = [list(r) + [fs.one() if t == i else fs.zero() for t in range(n)]
-           for i, r in enumerate(rows)]
-    ech = echelon(aug, fs)
-    if len(ech) != n:
-        raise ValueError("matrix is singular")
-    inv = [None] * n
-    for row in ech:
-        pc = next(c for c in range(2 * n) if not fs.is_zero(row[c]))
-        assert pc < n, "matrix is singular"
-        inv[pc] = row[n:]
-    return [tuple(r) for r in inv]
 
 
 # ---------------------------------------------------------------------------
@@ -454,130 +434,30 @@ def _nullspace_field(C, fs, h):
     return span_field(null, fs, h)
 
 
-class AdaptedBasis:
-    """Result of adapt_basis: rows of change_of_basis are the new basis
-    vectors in old coordinates; a = dim g/z, b = dim g'."""
+class AdaptedBasis(NamedTuple):
+    """Coordinates for Theorem B, read off the reduced echelon bases of z
+    and g'. The e_j, j in front (the non-pivot columns of z), form a basis
+    of g modulo z; tail holds the pivot columns of g', so v in g' equals
+    sum_k v[tail[k]] D_k over the echelon rows D_k."""
 
-    def __init__(self, change_of_basis, a, b):
-        self.change_of_basis = change_of_basis
-        self.a = a
-        self.b = b
-
-    def __repr__(self):
-        return f"AdaptedBasis(a={self.a}, b={self.b})"
+    front: list
+    tail: list
 
 
 def adapt_basis(table):
-    """Reorder/recombine the basis so positions 0..a-1 have linearly
-    independent residues mod z and the last b positions are a basis of g'.
-
-    Field coefficients only. Returns (AdaptedBasis, transformed LieRing).
-    The two windows overlap in exactly max(0, a + b - h) positions, which
-    hold derived-algebra vectors of nonzero residue.
-    """
+    """AdaptedBasis(front, tail) of a field table, a = len(front) = dim g/z
+    and b = len(tail) = dim g'."""
     fs = table.ring
     if not is_field(fs):
         raise ValueError("adapt_basis requires a field table")
-    h = table.h
-    zb = centre(table).vectors
-    db = derived(table).vectors
-    zdim, b = len(zb), len(db)
-    a = h - zdim
-    o = max(0, b - zdim)
 
-    resbasis = list(zb)  # residue test: independence modulo z
+    def pivots(basis):
+        return [next(j for j, x in enumerate(v) if not fs.is_zero(x))
+                for v in basis.vectors]
 
-    def res_independent(v, extra):
-        return not in_span(resbasis + extra, v, fs)
-
-    # D1: o derived vectors with independent residues
-    D1, D1res = [], []
-    for v in db:
-        if len(D1) == o:
-            break
-        if res_independent(v, D1res):
-            D1.append(v)
-            D1res.append(v)
-    assert len(D1) == o
-    D2 = [v for v in db if v not in D1]
-
-    # Zfill: extend span(g') inside z
-    Zfill = []
-    room = max(zdim - b, 0)
-    for zvec in zb:
-        if len(Zfill) == room:
-            break
-        if not in_span(db + Zfill, zvec, fs):
-            Zfill.append(zvec)
-    assert len(Zfill) == room
-
-    # H: complete both the residue basis and the full basis; the pool of
-    # standard vectors and pairwise sums always contains a valid choice
-    chosen = D1 + D2 + Zfill
-    H, Hres = [], []
-    pool = [table.basis_vector(i) for i in range(h)]
-    pool += [
-        tuple(fs.add(x, y) for x, y in zip(pool[i], pool[j]))
-        for i in range(h)
-        for j in range(i + 1, h)
-    ]
-    for v in pool:
-        if len(H) == a - o:
-            break
-        if res_independent(v, D1res + Hres) and not in_span(chosen + H, v, fs):
-            H.append(v)
-            Hres.append(v)
-    assert len(H) == a - o, "basis completion failed"
-
-    L = H + D1 + Zfill + D2
-    assert len(L) == h
-    P = [list(v) for v in L]
-    Pinv = invert_matrix(P, fs)
-
-    # transform the structure constants: [L_i, L_j] in L-coordinates
-    new_brackets = {}
-    for i in range(h):
-        for j in range(i + 1, h):
-            v = table.bracket(L[i], L[j])
-            if all(fs.is_zero(x) for x in v):
-                continue
-            w = _matvec(Pinv, v, fs)
-            row = {k: c for k, c in enumerate(w) if not fs.is_zero(c)}
-            if row:
-                new_brackets[(i, j)] = row
-    name = table.name + " (adapted)" if table.name else ""
-    return AdaptedBasis([tuple(r) for r in P], a, b), LieRing(fs, h, new_brackets, name)
-
-
-def _matvec(rows_of_inv, v, fs):
-    """v expressed in the new basis: w = v . P^{-1} (rows_of_inv = P^{-1})."""
-    h = len(v)
-    w = [fs.zero()] * h
-    for i in range(h):
-        if fs.is_zero(v[i]):
-            continue
-        for j in range(h):
-            w[j] = fs.add(w[j], fs.mul(v[i], rows_of_inv[i][j]))
-    return w
-
-
-def is_adapted(table, a, b):
-    """Check the two window conditions directly."""
-    fs = table.ring
-    if not is_field(fs):
-        return False
-    h = table.h
-    zb = centre(table).vectors
-    db = derived(table).vectors
-    if h - len(zb) != a or len(db) != b:
-        return False
-    # front window: residues of e_0..e_{a-1} independent mod z
-    front = [table.basis_vector(i) for i in range(a)]
-    if len(echelon(list(zb) + front, fs)) != len(zb) + a:
-        return False
-    # tail window: e_{h-b}..e_{h-1} spans g'
-    tail = [table.basis_vector(i) for i in range(h - b, h)]
-    return all(in_span(db, t, fs) for t in tail)
+    zpiv = set(pivots(centre(table)))
+    return AdaptedBasis([j for j in range(table.h) if j not in zpiv],
+                        pivots(derived(table)))
 
 
 def base_change(table, m):

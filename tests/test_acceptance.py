@@ -11,7 +11,7 @@ from pgc import (
     make_field,
     LieRing, ModRing,
     free_table, witt,
-    adapt_basis, build_commutator_matrices,
+    build_commutator_matrices,
     rank, pfaffian,
     rank_distribution_A, rank_distribution_B,
     vectors_theoremB, vectors_dual, class_number,
@@ -63,8 +63,8 @@ def test_criterion_02_class2_skew_rank_census_matches_closed_form():
         for qv in (3, 5):
             fs = make_field(qv)
             t = free_table(r, 2, fs)
-            b = witt(r, 2)
-            _, B = build_commutator_matrices(t, r, b)
+            _, B = build_commutator_matrices(t)
+            assert (B.rows, B.nvars) == (r, witt(r, 2))
             nu = rank_distribution_B(B)
             ch = char_vector_class2(r, qv)
             keys = {i for i, n in nu.items()} | {i for i, n in ch.items() if n}
@@ -89,7 +89,8 @@ def test_criterion_03_free_fixture_char_vectors_by_enumeration():
     q = 3
     t = free_table(3, 3, make_field(3))
     a, b = 6, 11
-    A, B = build_commutator_matrices(t, a, b)
+    A, B = build_commutator_matrices(t)
+    assert (A.nvars, B.nvars) == (a, b)
     mu = rank_distribution_A(A)
     nu = rank_distribution_B(B)
     assert mu == {0: 1, 3: 26, 5: 702}
@@ -210,8 +211,7 @@ def test_criterion_09_property_suite_budgets_and_spot_checks():
 
     fs = make_field(5)
     t = free_table(2, 3, fs)
-    ab, adapted = adapt_basis(t)
-    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+    A, B = build_commutator_matrices(t)
 
     # bilinear pairing on one point triple
     v, x, y = (1, 2, 3), (4, 0, 1), (2, 1, 0)
@@ -233,9 +233,9 @@ def test_criterion_09_property_suite_budgets_and_spot_checks():
     # fibration counts
     mu = rank_distribution_A(A)
     nu = rank_distribution_B(B)
-    assert mu.total() == 5**ab.a
-    assert nu.total() == 5**ab.b
-    assert s_size_from_mu(mu, ab.b, 5) == s_size_from_nu(nu, ab.a, 5)
+    assert mu.total() == 5**A.nvars
+    assert nu.total() == 5**B.nvars
+    assert s_size_from_mu(mu, B.nvars, 5) == s_size_from_nu(nu, A.nvars, 5)
 
     # mass identities and matrix-vs-dual agreement
     cc, ch = vectors_theoremB(t)
@@ -282,7 +282,7 @@ def test_criterion_10_erratum_k_f33_sign_of_the_q8_term():
                     integral=True) == target
     # route 3: rank-census enumeration at q = 3
     t = free_table(3, 3, make_field(3))
-    A, _ = build_commutator_matrices(t, 6, 11)
+    A, _ = build_commutator_matrices(t)
     mu = rank_distribution_A(A)
     k3 = sum(n * 3 ** (t.h - 6) // 3**i for i, n in mu.items())
     assert k3 == 3**8 + 26 * 3**5 + 702 * 3**3 == 31833

@@ -8,7 +8,7 @@ from pgc import (
     pfaffian_case_vectors, build_entry,
     HypothesesFailed, ZeroAlpha, CATALOG_NAMES,
     validate, nilpotency_class, vectors_theoremB,
-    adapt_basis, build_commutator_matrices, pfaffian,
+    build_commutator_matrices, pfaffian,
 )
 
 
@@ -70,8 +70,7 @@ def test_quadric_enumerated_vectors():
 
 def test_quadric_pfaffian_is_the_quadric():
     t = quadric_table(3)
-    ab, adapted = adapt_basis(t)
-    _, B = build_commutator_matrices(adapted, ab.a, ab.b)
+    _, B = build_commutator_matrices(t)
     fs = t.ring
     from itertools import product
     for y in product(range(3), repeat=4):

@@ -8,11 +8,11 @@ import numpy as np
 
 import pgc.commat
 from pgc import (
-    make_field, LieRing, ModRing, LinearFormMatrix,
-    NotAdapted, NotSkew, BudgetExceeded,
+    make_field, ModRing, LinearFormMatrix,
+    NotSkew, BudgetExceeded,
     build_commutator_matrices, rank, batch_rank,
     pfaffian, projective_points, projective_rank_census,
-    adapt_basis, free_table, quadric_table, boston_isaacs_table,
+    free_table, quadric_table, boston_isaacs_table,
 )
 from pgc.commat import projective_lines
 from conftest import heisenberg
@@ -20,7 +20,7 @@ from conftest import heisenberg
 
 def test_heisenberg_matrices_entrywise():
     t = heisenberg(make_field(5))
-    A, B = build_commutator_matrices(t, 2, 1)
+    A, B = build_commutator_matrices(t)
     # A(X) = (X's coefficient on the derived coordinate), one column
     assert A.rows == 2 and A.cols == 1 and A.nvars == 2
     assert A.evaluate((1, 0)) == [(0,), (4,)]
@@ -29,19 +29,10 @@ def test_heisenberg_matrices_entrywise():
     assert B.evaluate((1,)) == [(0, 1), (4, 0)]
 
 
-def test_not_adapted_rejected():
-    fs = make_field(3)
-    # derived coordinate sits in the middle, so the window claim is false
-    t = LieRing(fs, 3, {(0, 2): {1: 1}})
-    with pytest.raises(NotAdapted):
-        build_commutator_matrices(t, 2, 1)
-
-
 def test_rank_matches_batch_rank():
     for fs in (make_field(5), make_field(5, 2)):
         t = free_table(2, 3, fs)
-        ab, adapted = adapt_basis(t)
-        A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+        A, B = build_commutator_matrices(t)
         els = fs.elements()
         pts = list(itertools.product(els, repeat=A.nvars))[:200]
         single = [rank(A.evaluate(x), fs) for x in pts]
@@ -187,8 +178,7 @@ def test_projective_points_count():
 def test_projective_rank_census_quadric():
     from pgc import quadric_table
     t = quadric_table(3)
-    ab, adapted = adapt_basis(t)
-    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+    A, B = build_commutator_matrices(t)
     census, line_ok = projective_rank_census(B)
     # ranks 2 and 4 both occur; the line condition fails for this table
     assert set(census) == {2, 4}
@@ -234,8 +224,7 @@ def test_projective_line_condition_on_catalog_tables():
             (boston_isaacs_table(1, 5), {4: 7, 6: 24}, True),
             (boston_isaacs_table(2, 11), {4: 16, 6: 117}, True)]
     for t, census, line_ok in want:
-        ab, adapted = adapt_basis(t)
-        _, B = build_commutator_matrices(adapted, ab.a, ab.b)
+        _, B = build_commutator_matrices(t)
         assert projective_rank_census(B) == (census, line_ok), t.name
 
 

@@ -15,7 +15,7 @@ from pgc import (
     rank_distribution_A, rank_distribution_B,
     vectors_theoremB, vectors_dual, class_number,
     s_size_from_mu, s_size_from_nu,
-    build_commutator_matrices, adapt_basis,
+    build_commutator_matrices,
     free_table, poly_fit, QPolynomial,
 )
 import pgc.enumctr
@@ -25,7 +25,7 @@ from conftest import change_basis, heisenberg, dual_pool
 
 def test_heisenberg_rank_loci():
     t = heisenberg(make_field(5))
-    A, B = build_commutator_matrices(t, 2, 1)
+    A, B = build_commutator_matrices(t)
     mu = rank_distribution_A(A)
     nu = rank_distribution_B(B)
     assert dict(mu.items()) == {0: 1, 1: 24}
@@ -61,8 +61,7 @@ def test_rank_distribution_matches_brute_force():
               quadric_table(9), free_table(2, 3, make_field(7))]
     mats = [_one_form(make_field(5), 0, 2, 2), _one_form(make_field(3, 2), 1)]
     for t in tables:
-        ab, adapted = adapt_basis(t)
-        mats += build_commutator_matrices(adapted, ab.a, ab.b)
+        mats += build_commutator_matrices(t)
     assert {M.nvars for M in mats} >= {0, 1, 2, 3, 4}
     for M in mats:
         assert rank_distribution(M) == _brute_force_distribution(M)
@@ -74,8 +73,7 @@ def test_rank_distribution_independent_of_workers(fs, monkeypatch):
     # 7 monic points per chunk: shards cross chunk boundaries and the
     # boundaries between leading positions (blocks of q^3, q^2, q, 1)
     monkeypatch.setattr(pgc.enumctr, "_CHUNK", 7)
-    ab, adapted = adapt_basis(free_table(2, 3, fs))
-    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+    A, B = build_commutator_matrices(free_table(2, 3, fs))
     coeffs = [[[fs.embed(r + 2 * c + v) for v in range(4)] for c in range(3)]
               for r in range(2)]
     M4 = LinearFormMatrix(fs, 2, 3, 4, coeffs)
@@ -215,15 +213,14 @@ def test_matrix_and_dual_agree_on_prime_fields():
 
 def test_fibration_counts_agree():
     t = free_table(2, 3, make_field(5))
-    ab, adapted = adapt_basis(t)
-    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
+    A, B = build_commutator_matrices(t)
     mu = rank_distribution_A(A)
     nu = rank_distribution_B(B)
     q = 5
-    assert sum(mu.entries.values()) == q**ab.a
-    assert sum(nu.entries.values()) == q**ab.b
-    assert s_size_from_mu(mu.entries, ab.b, q) == \
-        s_size_from_nu(nu.entries, ab.a, q)
+    assert sum(mu.entries.values()) == q**A.nvars
+    assert sum(nu.entries.values()) == q**B.nvars
+    assert s_size_from_mu(mu.entries, B.nvars, q) == \
+        s_size_from_nu(nu.entries, A.nvars, q)
 
 
 def test_class_number_consistency():

@@ -86,3 +86,13 @@ def test_from_int_is_a_bijection():
     fs = make_field(5, 2)
     seen = {fs.from_int(n) for n in range(25)}
     assert len(seen) == 25
+
+
+def test_from_int_rejects_out_of_range():
+    # an assert here let python -O return (0, 0) for 9 in GF(9)
+    fs = make_field(3, 2)
+    for n in (9, -1):
+        with pytest.raises(ValueError):
+            fs.from_int(n)
+    with pytest.raises(ValueError):
+        make_field(5).from_int(5)

@@ -8,6 +8,7 @@ from pgc import (
     hall_basis, collect, free_table,
     class_vector_closed, class_number_closed,
     char_degrees_closed, char_vector_class2, char_count_degree_q,
+    char_vector_closed,
     fixture_vectors,
     ExceptionalCase, UnknownFixture, ClassTooLarge,
     validate, vectors_theoremB, lower_central_series,
@@ -134,3 +135,19 @@ def test_fixture_totals_match_closed_class_number():
         for q in (7, 11, 13):
             assert fixture_vectors(r, c, q).total() == \
                 class_number_closed(r, c, q), (r, c, q)
+
+
+def test_k_exponent_rejects_weights_outside_1_to_c():
+    # an assert here let python -O return 4 for k_exponent(2, 3, 0)
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            k_exponent(2, 3, i)
+
+
+def test_char_vector_closed_dispatches_on_class():
+    for r, q in [(2, 5), (3, 7), (4, 9)]:
+        assert char_vector_closed(r, 2, q) == char_vector_class2(r, q)
+    for r, c in [(2, 3), (2, 4), (3, 3), (2, 5)]:
+        assert char_vector_closed(r, c, 7) == fixture_vectors(r, c, 7)
+    with pytest.raises(UnknownFixture):
+        char_vector_closed(4, 4, 5)

@@ -1,5 +1,6 @@
 """Structure-constant tables: validation, series, adapted bases, Smith form."""
 
+import random
 import time
 from itertools import product
 from math import gcd
@@ -10,11 +11,12 @@ from pgc import (
     make_field, ModRing, LieRing,
     AntisymmetryViolation, JacobiViolation, NotNilpotent,
     validate, derived, centre, lower_central_series, nilpotency_class,
-    adapt_basis, is_adapted, base_change,
-    free_table, vectors_theoremB,
+    adapt_basis, base_change,
+    free_table, vectors_theoremB, boston_isaacs_table, pfaffian_case_vectors,
 )
-from pgc.liecore import smith_mod, span_mod, kernel_mod
-from conftest import heisenberg, field_pool, modular_pool
+from pgc.liecore import echelon, smith_mod, span_mod, kernel_mod
+from conftest import (heisenberg, field_pool, prime_field_pool, modular_pool,
+                      change_basis)
 
 
 def test_bracket_folding_and_antisymmetry():
@@ -76,12 +78,39 @@ def test_modular_centre_counts_order_not_dim():
     assert z.order() == 9
 
 
+def _dense(t, rng, n=36):
+    """t after n random row operations over its prime field."""
+    p = t.ring.p
+    ops = [(*rng.sample(range(t.h), 2), rng.randrange(1, p)) for _ in range(n)]
+    return change_basis(t, p, ops)
+
+
 def test_adapt_basis_postconditions():
-    for t in field_pool():
-        ab, adapted = adapt_basis(t)
-        assert is_adapted(adapted, ab.a, ab.b)
-        assert ab.a + (centre(t).dim) == t.h
-        assert ab.b == derived(t).dim
+    rng = random.Random(0)
+    for t in field_pool() + [_dense(t, rng) for t in prime_field_pool()]:
+        fs, h = t.ring, t.h
+        front, tail = adapt_basis(t)
+        z, d = centre(t).vectors, derived(t).vectors
+        assert len(front) + len(z) == h and len(tail) == len(d)
+        # the e_j, j in front, together with z span g
+        assert len(echelon([t.basis_vector(j) for j in front] + z, fs)) == h
+        # every bracket v equals sum_k v[tail_k] D_k over the echelon rows D_k
+        for row in t.lam.values():
+            v = [row.get(l, fs.zero()) for l in range(h)]
+            w = [fs.zero()] * h
+            for k, D in zip(tail, d):
+                w = [fs.add(x, fs.mul(v[k], y)) for x, y in zip(w, D)]
+            assert w == v, t.name
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_theoremB_in_a_dense_basis(seed):
+    rng = random.Random(seed)
+    fs = make_field(5)
+    for t in (free_table(3, 2, fs), free_table(2, 4, fs)):
+        assert vectors_theoremB(_dense(t, rng)) == vectors_theoremB(t), t.name
+    t = boston_isaacs_table(2, 7)
+    assert pfaffian_case_vectors(_dense(t, rng)) == pfaffian_case_vectors(t)
 
 
 def test_base_change_extends_scalars():

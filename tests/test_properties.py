@@ -14,7 +14,7 @@ from pgc import (
     make_field,
     ModRing,
     LieRing,
-    adapt_basis, build_commutator_matrices,
+    build_commutator_matrices,
     rank, pfaffian,
     free_table, validate,
     boston_isaacs_table, quadric_table, fm_table, isaacs_cd_table,
@@ -50,9 +50,8 @@ def _heis(fs):
 
 
 def _prep(t):
-    ab, adapted = adapt_basis(t)
-    A, B = build_commutator_matrices(adapted, ab.a, ab.b)
-    return t.ring, ab.a, ab.b, A, B
+    A, B = build_commutator_matrices(t)
+    return t.ring, A.nvars, B.nvars, A, B
 
 
 _POOL = [_prep(t) for t in (
