@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -253,26 +254,63 @@ def _batch_length(M, p, e):
     return length
 
 
+def form_codes(M):
+    """(nvars, rows, cols) int64 codes with M(x) = sum_v x_v codes[v]."""
+    codes = [[[M.fs.to_int(x[v]) for x in r] for r in M.coeffs] for v in range(M.nvars)]
+    return np.array(codes, dtype=np.int64).reshape(M.nvars, M.rows, M.cols)
+
+
+def lincomb(fs, X, K):
+    """The products X K over GF(q) as codes: row i is sum_j X[i, j] K[j]."""
+    if fs.f == 1:  # one reduction mod p after the integer sum
+        return X @ K % fs.p
+    axpy = _arith(fs)[0]
+    out = np.zeros((X.shape[0], K.shape[1]), dtype=np.int64)
+    for j in range(X.shape[1]):
+        out = axpy(out, X[:, j : j + 1], K[j])
+    return out
+
+
 def projective_ranks(M, lead, start, stop):
     """Ranks of M at the monic points whose first nonzero coordinate is
     `lead`, numbered start..stop-1 in projective_points order (the free
     coordinates after lead are the base-q digits, last fastest)."""
-    fs = M.fs
-    q, free = fs.q, M.nvars - lead - 1
-    codes = np.array(  # M(x) = sum_v x_v codes[v]
-        [[fs.to_int(x[v]) for row in M.coeffs for x in row] for v in range(M.nvars)],
-        dtype=np.int64,
-    ).reshape(M.nvars, M.rows * M.cols)
+    q, free = M.fs.q, M.nvars - lead - 1
+    codes = form_codes(M).reshape(M.nvars, M.rows * M.cols)
     idx = np.arange(start, stop, dtype=np.int64)
-    digits = (idx[:, None] // q ** np.arange(free - 1, -1, -1, dtype=np.int64)) % q
-    if fs.f == 1:  # one reduction mod p after the integer sum
-        evals = (codes[lead] + digits @ codes[lead + 1 :]) % q
-    else:
-        axpy = _arith(fs)[0]
-        evals = np.broadcast_to(codes[lead], (idx.size, codes.shape[1]))
-        for j in range(free):
-            evals = axpy(evals, digits[:, j : j + 1], codes[lead + 1 + j])
-    return batch_rank(np.array(evals).reshape(idx.size, M.rows, M.cols), fs)
+    X = np.ones((idx.size, free + 1), dtype=np.int64)  # x_lead = 1
+    X[:, 1:] = (idx[:, None] // q ** np.arange(free - 1, -1, -1, dtype=np.int64)) % q
+    evals = lincomb(M.fs, X, codes[lead:])
+    return batch_rank(evals.reshape(idx.size, M.rows, M.cols), M.fs)
+
+
+def echelon_bases(fs, n, k, step):
+    """Every k-dimensional subspace of F_q^n once, as its reduced echelon
+    basis, in (N, k, n) int64 blocks of codes with N <= step, one pivot set
+    per block. Pivot sets come in combinations order; the free entries of
+    a pivot set (right of their row's pivot, off the pivot columns) are the
+    base-q digits of a running index, last fastest."""
+    q = fs.q
+    for piv in combinations(range(n), k):
+        r, c = np.array([(i, j) for i, p in enumerate(piv) for j in range(p + 1, n)
+                         if j not in piv], dtype=np.int64).reshape(-1, 2).T
+        pw = q ** np.arange(r.size - 1, -1, -1, dtype=np.int64)
+        for s in range(0, q**r.size, step):
+            idx = np.arange(s, min(s + step, q**r.size), dtype=np.int64)
+            W = np.zeros((idx.size, k, n), dtype=np.int64)
+            W[:, np.arange(k), list(piv)] = 1
+            W[:, r, c] = idx[:, None] // pw % q
+            yield W
+
+
+def stacked_ranks(fs, codes, W):
+    """Ranks of the (kR) x n matrices M_W of x -> (M(x) w_1, ..., M(x) w_k)
+    for the bases w in the block W (N, k, C); codes (n, R, C) are M's."""
+    n, R, C = codes.shape
+    N, k, _ = W.shape
+    K = codes.transpose(2, 1, 0).reshape(C, R * n)  # K[c, (r, v)] = codes[v, r, c]
+    stacks = lincomb(fs, W.reshape(N * k, C), K)
+    return batch_rank(stacks.reshape(N, k * R, n), fs)
 
 
 def pfaffian(matrix, fs):
@@ -330,26 +368,18 @@ def projective_points(fs, b):
 def projective_lines(fs, b):
     """Every line of P^{b-1}(F_q) once, as (n, q+1) arrays holding the
     indices of its points in projective_points order. A line is the span
-    of a reduced echelon pair u, v with pivots i < j (u_j = 0); its points
+    of a reduced echelon pair u, v (echelon_bases with k = 2); its points
     v and u + t v, t in F_q, are all monic."""
     q, axpy = fs.q, _arith(fs)[0]
-    offset = np.cumsum([0] + [q ** (b - 1 - lead) for lead in range(b - 1)])
+    pw = q ** np.arange(b - 1, -1, -1, dtype=np.int64)
+    # a monic point x with first nonzero coordinate l has index base[l] + x pw
+    base = np.cumsum([0] + [q ** (b - 1 - lead) for lead in range(b - 1)]) - pw
     t = np.arange(q, dtype=np.int64)[None, :, None]
-    step = max(1, (1 << 15) // (q + 1))  # lines per array
-    for i in range(b):
-        w = q ** np.arange(b - 2 - i, -1, -1, dtype=np.int64)  # positions > i
-        for j in range(i + 1, b):
-            free = q ** (2 * b - 3 - i - j)  # u: b-2-i coordinates, v: b-1-j
-            for s in range(0, free, step):
-                idx = np.arange(s, min(s + step, free), dtype=np.int64)
-                digits = idx[:, None] // q ** np.arange(2 * b - 4 - i - j, -1, -1) % q
-                U = np.insert(digits[:, : b - 2 - i], j - i - 1, 0, axis=1)
-                V = np.zeros_like(U)
-                V[:, j - i - 1] = 1
-                V[:, j - i :] = digits[:, b - 2 - i :]
-                on_u = offset[i] + axpy(U[:, None], t, V[:, None]) @ w
-                on_v = offset[j] + V[:, j - i :] @ w[j - i :]
-                yield np.concatenate([on_v[:, None], on_u], axis=1)
+    for W in echelon_bases(fs, b, 2, max(1, (1 << 15) // (q + 1))):
+        (U, V), (i, j) = W.transpose(1, 0, 2), (W[0] != 0).argmax(axis=1)
+        on_u = base[i] + axpy(U[:, None], t, V[:, None]) @ pw
+        on_v = base[j] + V @ pw
+        yield np.concatenate([on_v[:, None], on_u], axis=1)
 
 
 def projective_rank_census(B, budget=10**9):

@@ -35,7 +35,10 @@ from .commat import (
     build_commutator_matrices,
     check_modulus,
     check_points,
+    echelon_bases,
+    form_codes,
     projective_ranks,
+    stacked_ranks,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -116,31 +119,87 @@ def _chunks(M):
             yield lead, s, min(s + _CHUNK, size)
 
 
-def _rank_shard(M, worker, workers):
-    """Rank counts over the chunks numbered worker mod workers, one entry
-    per projective point."""
-    counts = np.zeros(min(M.rows, M.cols) + 1, dtype=np.int64)
-    for lead, s, t in islice(_chunks(M), worker, None, workers):
-        counts += np.bincount(projective_ranks(M, lead, s, t), minlength=counts.size)
-    return counts
+def _sharded(tasks, run, shape, workers):
+    """counts[level, rank] over the tasks, run(task) giving (level, ranks).
+    With workers > 1 the tasks go round robin to a thread pool (numpy
+    releases the GIL); the sum does not depend on workers."""
+    def shard(worker):
+        counts = np.zeros(shape, dtype=np.int64)
+        for task in islice(tasks(), worker, None, workers):
+            level, ranks = run(task)
+            counts[level] += np.bincount(ranks, minlength=shape[1])
+        return counts
 
-
-def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
-    """{rank: #points x in F_q^nvars with rk M(x) = rank}. M is linear in x,
-    so the rank is constant on the q-1 nonzero points of a line: only the
-    monic representatives are ranked, each counting q-1 times, and the
-    origin adds one point of rank 0. With workers > 1 the chunks go round
-    robin to a thread pool (the kernel runs in numpy, which releases the
-    GIL); the result does not depend on workers."""
-    check_points(M.fs, M.nvars, budget)
     if workers <= 1:
-        counts = _rank_shard(M, 0, 1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            counts = sum(ex.map(lambda w: _rank_shard(M, w, workers), range(workers)))
+        return shard(0)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return sum(ex.map(shard, range(workers)))
+
+
+def _point_census(M, workers):
+    """Rank counts from the monic representatives, each counting q-1 times
+    (M is linear in x), plus the origin."""
+    counts = _sharded(lambda: _chunks(M), lambda c: (0, projective_ranks(M, *c)),
+                      (1, min(M.rows, M.cols) + 1), workers)[0]
     counts = counts * (M.fs.q - 1)
     counts[0] += 1  # the origin
     return {r: c for r, c in enumerate(counts.tolist()) if c}
+
+
+def _qbinom(d, k, q):
+    """[d choose k]_q, the number of k-dim subspaces of F_q^d."""
+    num = prod(q ** (d - i) - 1 for i in range(k))
+    return num // prod(q**i - 1 for i in range(1, k + 1))
+
+
+def _kernel_route_cheaper(q, n, R, C):
+    """Is the kernel census of an R x C matrix in n variables over GF(q)
+    cheaper than its point census? batch_rank's work is about matrices x
+    rows x cols^2: (q^n - 1)/(q - 1) R x C matrices against [C' choose
+    k]_q stacks k R' x n for k = 1..C', where C' = min(R, C), R' = max."""
+    points = (q**n - 1) // (q - 1) * R * C * C
+    R, C = max(R, C), min(R, C)
+    kernel = sum(_qbinom(C, k, q) * k * R * n * n for k in range(1, C + 1))
+    return kernel < points
+
+
+def _kernel_census(M, workers):
+    """Rank counts from the subspaces W of F_q^C, M transposed to C =
+    min(R, C) columns. {x : W <= ker M(x)} = ker M_W (see stacked_ranks),
+    so S_k = sum_{dim W = k} q^(n - rk M_W) = sum_{d >= k} g(d) [d choose
+    k]_q, where g(d) counts the x of rank C - d. g is solved for from d = C
+    down, and g(0) from S_0 = q^n. The S_k are Python ints: they overflow
+    int64 long before q^n does."""
+    fs, n, q = M.fs, M.nvars, M.fs.q
+    codes = form_codes(M) if M.rows >= M.cols else form_codes(M).transpose(0, 2, 1)
+    C = codes.shape[2]
+
+    def tasks():
+        for k in range(1, C + 1):  # chunks of _CHUNK R C entries, as in _chunks
+            for W in echelon_bases(fs, C, k, max(1, _CHUNK * C // (k * max(n, 1)))):
+                yield k, W
+
+    counts = _sharded(tasks, lambda task: (task[0], stacked_ranks(fs, codes, task[1])),
+                      (C + 1, n + 1), workers)
+    S = [sum(c * q ** (n - r) for r, c in enumerate(row)) for row in counts.tolist()]
+    g = [0] * (C + 1)
+    for d in range(C, 0, -1):
+        g[d] = S[d] - sum(g[e] * _qbinom(e, d, q) for e in range(d + 1, C + 1))
+    g[0] = q**n - sum(g)
+    # off the origin, the rank is constant on the q - 1 nonzero points of a line
+    if min(g) < 0 or any((gd - (d == C)) % (q - 1) for d, gd in enumerate(g)):
+        raise InexactDivision(f"kernel census {g} is not a count of points")
+    return {C - d: g[d] for d in range(C, -1, -1) if g[d]}
+
+
+def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
+    """{rank: #points x in F_q^nvars with rk M(x) = rank}, by the census
+    _kernel_route_cheaper rates cheaper. workers shards it over threads;
+    the result does not depend on workers."""
+    check_points(M.fs, M.nvars, budget)
+    if _kernel_route_cheaper(M.fs.q, M.nvars, M.rows, M.cols):
+        return _kernel_census(M, workers)
+    return _point_census(M, workers)
 
 
 def rank_distribution_A(A, budget=DEFAULT_BUDGET, workers=1):

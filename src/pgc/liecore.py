@@ -132,6 +132,7 @@ class LieRing:
                 else:
                     tgt[k] = val
         self.lam = {ij: row for ij, row in lam.items() if row}
+        self._series = None  # lower_central_series, once computed
 
     def _coerce(self, c):
         if isinstance(c, int):
@@ -274,7 +275,8 @@ class SubspaceBasis:
 
     @property
     def dim(self):
-        assert self.orders is None, "dim is a field-case notion; use order()"
+        if self.orders is not None:
+            raise ValueError("dim is a field-case notion; use order()")
         return len(self.vectors)
 
     def order(self):
@@ -368,7 +370,15 @@ def derived(table):
 
 
 def lower_central_series(table):
-    """(series, c) with series = [gamma_1, ..., gamma_{c+1}], last one zero."""
+    """(series, c) with series = (gamma_1, ..., gamma_{c+1}), last one zero.
+    Computed once per table and kept on it: validate and every counting
+    route ask for it."""
+    if table._series is None:
+        table._series = _lower_central_series(table)
+    return table._series
+
+
+def _lower_central_series(table):
     h, R = table.h, table.ring
     if is_field(R):
         full = span_field([table.basis_vector(i) for i in range(h)], R, h)
@@ -395,7 +405,7 @@ def lower_central_series(table):
         # zero algebra: treat as class 1 with gamma_2 = 0
         series.append(full)
         c = 1
-    return series, c
+    return tuple(series), c
 
 
 def nilpotency_class(table):

@@ -18,6 +18,7 @@ import pytest
 
 import pgc.enumctr
 import pgc.lazard
+import pgc.liecore
 from pgc import make_field, LieRing, ModRing, validate, pfaffian_case_vectors
 from pgc.cli import (
     run, parse_lie, emit_lie,
@@ -238,6 +239,17 @@ def test_vectors_threads_deterministic(tmp_path, capsys):
     assert obj["class_vector"] == {"0": 9, "2": 80}
     assert obj["char_vector"] == {"0": 81, "2": 8}
     assert obj["k"] == 89
+
+
+def test_vectors_computes_the_lower_central_series_once(tmp_path, capsys,
+                                                        monkeypatch):
+    calls = []
+    series = pgc.liecore._lower_central_series
+    monkeypatch.setattr(pgc.liecore, "_lower_central_series",
+                        lambda t: calls.append(t) or series(t))
+    assert run(["vectors", _write(tmp_path, HEIS5)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_vectors_dual_modular(tmp_path, capsys):

@@ -16,11 +16,12 @@ from pgc import (
     vectors_theoremB, vectors_dual, class_number,
     s_size_from_mu, s_size_from_nu,
     build_commutator_matrices,
-    free_table, poly_fit, QPolynomial,
+    free_table, boston_isaacs_table, poly_fit, QPolynomial,
 )
 import pgc.enumctr
 from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision
-from conftest import change_basis, heisenberg, dual_pool
+from pgc.enumctr import _kernel_census, _kernel_route_cheaper, _point_census
+from conftest import change_basis, heisenberg, dual_pool, field_pool
 
 
 def test_heisenberg_rank_loci():
@@ -81,6 +82,69 @@ def test_rank_distribution_independent_of_workers(fs, monkeypatch):
         want = _brute_force_distribution(M)
         for w in (1, 2, 3):
             assert rank_distribution(M, workers=w) == want, (M.nvars, w)
+
+
+def _zero_form(fs, rows, cols, nvars):
+    return LinearFormMatrix(fs, rows, cols, nvars,
+                            [[[fs.zero()] * nvars for _ in range(cols)]
+                             for _ in range(rows)])
+
+
+def test_kernel_census_matches_point_census():
+    mats = [_one_form(make_field(5), 0, 2, 2), _one_form(make_field(3, 2), 1),
+            _one_form(make_field(7), 1, 2, 3), _zero_form(make_field(5), 3, 2, 2),
+            _zero_form(make_field(2, 2), 2, 3, 0)]
+    for t in field_pool():
+        mats += build_commutator_matrices(t)
+    # the 6 x 6 B(Y) of the three class-2 tables with b = 3 have 3.6e6 to
+    # 6.2e7 kernel subspaces; the rest have at most 42,175
+    ran = [M for M in mats if not (M.rows == M.cols == 6 and M.nvars == 3)]
+    assert len(mats) - len(ran) == 3
+    shapes = {(M.rows > M.cols) - (M.rows < M.cols) for M in ran}
+    assert shapes == {-1, 0, 1} and {0, 1} <= {M.nvars for M in ran}
+    assert any(M.fs.f > 1 for M in ran)
+    for M in ran:
+        assert _kernel_census(M, 1) == _point_census(M, 1), (M.rows, M.cols, M.nvars)
+
+
+@pytest.mark.parametrize("fs", [make_field(5), make_field(3, 2)],
+                         ids=["GF(5)", "GF(9)"])
+def test_kernel_census_independent_of_workers(fs, monkeypatch):
+    # at most 7 R C stack entries per chunk: shards cross chunk boundaries
+    # and the boundaries between pivot sets and subspace dimensions
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", 7)
+    A, B = build_commutator_matrices(free_table(2, 3, fs))
+    coeffs = [[[fs.embed(r + 2 * c + v) for v in range(4)] for c in range(3)]
+              for r in range(2)]
+    M4 = LinearFormMatrix(fs, 2, 3, 4, coeffs)
+    for M in (A, B, M4):
+        want = _brute_force_distribution(M)
+        for w in (1, 2, 3):
+            assert _kernel_census(M, w) == want, (M.nvars, w)
+
+
+def test_route_rule_on_benchmark_censuses():
+    def route(t, side):
+        M = build_commutator_matrices(t)["AB".index(side)]
+        return _kernel_route_cheaper(M.fs.q, M.nvars, M.rows, M.cols)
+
+    # 267 subspaces of F_11^3 against 177,156 monic points of F_11^6
+    assert route(boston_isaacs_table(2, 11), "A")
+    assert not route(free_table(2, 4, make_field(7)), "B")
+    assert not route(free_table(3, 3, make_field(5)), "B")
+
+
+def test_kernel_census_sums_exactly_past_int64(monkeypatch):
+    # S_1 = 9 * 3^38 + 4 * 3^39 > 2^63 over the 13 lines of F_3^3
+    def kernel(*args):
+        raise AssertionError("the point census started")
+
+    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    fs, n = make_field(3), 39
+    x1 = _zero_form(fs, 3, 3, n)
+    x1.coeffs[0][0][0] = fs.one()
+    assert rank_distribution(x1, budget=10**19) == {0: 3**38, 1: 3**39 - 3**38}
+    assert rank_distribution(_zero_form(fs, 3, 3, n), budget=10**19) == {0: 3**39}
 
 
 def test_oversized_census_is_a_budget_error(monkeypatch):

@@ -78,6 +78,14 @@ def test_modular_centre_counts_order_not_dim():
     assert z.order() == 9
 
 
+def test_modular_dim_is_an_error():
+    # the centre has orders [9, 3, 3]: three generators, but not 9^3 elements
+    z = centre(LieRing(ModRing(3, 2), 3, {(0, 1): {2: 3}}))
+    assert z.order() == 81
+    with pytest.raises(ValueError, match="use order"):
+        z.dim
+
+
 def _dense(t, rng, n=36):
     """t after n random row operations over its prime field."""
     p = t.ring.p

@@ -14,6 +14,7 @@ from pgc import (
     make_field,
     ModRing,
     LieRing,
+    LinearFormMatrix,
     build_commutator_matrices,
     rank, pfaffian,
     free_table, validate,
@@ -23,6 +24,7 @@ from pgc import (
     bch, bch_matrix_sum, matrix_exp, matrix_log,
     star, star_inverse,
 )
+from pgc.enumctr import _kernel_census, _point_census
 from pgc.liecore import smith_mod, span_mod
 from pgc.lazard import _mat_mul
 
@@ -38,9 +40,10 @@ N_CLASS2_ROUTES = 60
 N_SMITH_CLOSURE = 60
 N_EXTENSION_ORACLE = 30
 N_FREE_QUOTIENTS = 40
+N_KERNEL_CENSUS = 100
 RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN + N_BCH_MATRIX
                       + N_STAR_ASSOC + N_CLASS2_ROUTES + N_SMITH_CLOSURE
-                      + N_EXTENSION_ORACLE + N_FREE_QUOTIENTS)
+                      + N_EXTENSION_ORACLE + N_FREE_QUOTIENTS + N_KERNEL_CENSUS)
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -164,6 +167,25 @@ def test_bch_agrees_with_matrix_log_exp(mn):
     M, N = mn
     direct = matrix_log(_mat_mul(matrix_exp(M), matrix_exp(N)))
     assert bch_matrix_sum(bch(4), M, N) == direct
+
+
+@st.composite
+def _matrix_space(draw):
+    """An R x C matrix of linear forms in n variables over a small field,
+    about half of its coefficients zero, with q^n <= 729."""
+    fs = make_field(*draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    n = draw(st.integers(0, 4).filter(lambda n: fs.q**n <= 729))
+    coeff = st.sampled_from([0] * fs.q + list(range(fs.q))).map(fs.from_int)
+    return LinearFormMatrix(fs, rows, cols, n,
+                            [[[draw(coeff) for _ in range(n)] for _ in range(cols)]
+                             for _ in range(rows)])
+
+
+@settings(max_examples=N_KERNEL_CENSUS, **_SETTINGS)
+@given(_matrix_space())
+def test_kernel_census_equals_point_census(M):
+    assert _kernel_census(M, 1) == _point_census(M, 1)
 
 
 _F23 = free_table(2, 3, make_field(5))

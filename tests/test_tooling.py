@@ -25,3 +25,22 @@ def test_tracer_records_the_theoremB_and_dual_spans(monkeypatch):
     assert spans <= set(tracer.seconds), sorted(tracer.seconds)
     assert tracer.counts["enumctr.census_A.pts"] == 5**3
     assert pgc.vectors_dual.__module__ == "pgc.enumctr"  # unwrapped again
+
+
+def test_tracer_records_the_censuses_on_the_kernel_route(monkeypatch):
+    # A(X) of g_alpha(2 mod 11) is 6 x 3 in 6 variables: its census ranks
+    # the 267 subspaces of F_11^3, not the points of F_11^6
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import Tracer
+
+    t = pgc.boston_isaacs_table(2, 11)
+    A, _ = pgc.build_commutator_matrices(t)
+    assert pgc.enumctr._kernel_route_cheaper(11, A.nvars, A.rows, A.cols)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        pgc.vectors_theoremB(t)
+    finally:
+        tracer.remove()
+    assert {"enumctr.census_A", "enumctr.census_B"} <= set(tracer.seconds)
+    assert tracer.counts["enumctr.census_A.pts"] == 11**6
