@@ -54,7 +54,7 @@ from .lazard import (
     NonPowerClass,
     NonSquareOrbit,
 )
-from .catalog import CATALOG_NAMES, build_entry, pfaffian_case_vectors
+from .catalog import CATALOG_NAMES, HypothesesFailed, build_entry, pfaffian_case_vectors
 
 
 class LieSyntaxError(SyntaxError):
@@ -330,6 +330,8 @@ def _cmd_vectors(args):
     method = args.method
     if method == "auto":
         method = "matrix" if is_field(t.ring) else "dual"
+    if args.threads < 1:
+        raise BadInput(f"--threads {args.threads} is below 1")
     if method == "matrix":
         if not is_field(t.ring):
             raise BadInput("matrix method requires field coefficients")
@@ -344,6 +346,16 @@ def _cmd_vectors(args):
     else:
         print(_render(cc, ch, k, t.ring.p))
     return 0
+
+
+def _free_closed(r, c, q):
+    """(cc, ch) of f(r, c) over GF(q) in closed form; ch is None where
+    neither a closed form nor a fixture is known."""
+    cc = class_vector_closed(r, c, q)
+    try:
+        return cc, char_vector_closed(r, c, q)
+    except UnknownFixture:
+        return cc, None
 
 
 def _cmd_free(args):
@@ -361,16 +373,11 @@ def _cmd_free(args):
             return 0
     if args.enumerate:
         cc, ch = vectors_theoremB(table, args.budget)
-        k = cc.total()
         method = "matrix"
     else:
-        cc = class_vector_closed(args.r, args.c, q)
-        k = cc.total()
+        cc, ch = _free_closed(args.r, args.c, q)
         method = "closed"
-        try:
-            ch = char_vector_closed(args.r, args.c, q)
-        except UnknownFixture:
-            ch = None
+    k = cc.total()
     if args.json:
         _print_json(_json_obj(table, cc, ch, k, method))
     else:
@@ -488,32 +495,32 @@ _QUADRIC_NAME = re.compile(r"quadric\((\d+)\)$")
 _BI_NAME = re.compile(r"g_alpha\((\d+) mod (\d+)\)$")
 
 
-def _closed_paths(t):
-    """(label, cc, ch, k) rows for tables recognized by name. Closed forms
-    are keyed by exponents of q; they are re-keyed by exponents of p, as
-    every counting route reports them."""
+def _closed_path(t):
+    """(label, path) for a field table recognized by name, else None;
+    path() gives (cc, ch, k). Closed forms are keyed by exponents of q;
+    they are re-keyed by exponents of p, as every counting route reports
+    them."""
     def rekey(v):
         return None if v is None else {i * t.ring.f: n for i, n in v.items()}
 
-    rows = []
-    m = _FREE_NAME.fullmatch(t.name)
-    if m and is_field(t.ring):
-        r, c = int(m.group(1)), int(m.group(2))
-        cc = class_vector_closed(r, c, t.ring.q)
-        try:
-            ch = char_vector_closed(r, c, t.ring.q)
-        except UnknownFixture:
-            ch = None
-        rows.append(("closed", rekey(cc), rekey(ch), cc.total()))
-    m = _QUADRIC_NAME.fullmatch(t.name)
-    if m and is_field(t.ring):
+    def free(r, c):
+        cc, ch = _free_closed(r, c, t.ring.q)
+        return rekey(cc), rekey(ch), cc.total()
+
+    def quadric():
         exp = build_entry("quadric", q=t.ring.q).expected
-        rows.append(("closed", rekey(exp["cc"]), rekey(exp["ch"]), exp["k"]))
-    m = _BI_NAME.fullmatch(t.name)
-    if m and is_field(t.ring):
-        cc, ch, k, _ = pfaffian_case_vectors(t)
-        rows.append(("formula", cc, ch, k))
-    return rows
+        return rekey(exp["cc"]), rekey(exp["ch"]), exp["k"]
+
+    if not is_field(t.ring):
+        return None
+    m = _FREE_NAME.fullmatch(t.name)
+    if m:
+        return "closed", lambda: free(int(m.group(1)), int(m.group(2)))
+    if _QUADRIC_NAME.fullmatch(t.name):
+        return "closed", quadric
+    if _BI_NAME.fullmatch(t.name):
+        return "formula", lambda: pfaffian_case_vectors(t)[:3]
+    return None
 
 
 def _cmd_verify(args):
@@ -523,35 +530,26 @@ def _cmd_verify(args):
     skipped = []
 
     def attempt(label, fn):
+        """fn() gives (cc, ch, k), or (cc, ch) with k the total of cc, else of ch."""
         try:
-            rows.append((label,) + fn())
+            cc, ch, *k = fn()
         except BudgetExceeded:
             skipped.append((label, "budget"))
-        except ClassTooLarge as e:
+        except (ClassTooLarge, HypothesesFailed) as e:
             skipped.append((label, str(e)))
+        else:
+            k = k[0] if k else (ch if cc is None else cc).total()
+            rows.append((label, cc, ch, k))
 
     if is_field(t.ring):
-        def theoremB():
-            cc, ch = vectors_theoremB(t, args.budget)
-            return cc, ch, cc.total()
-        attempt("theoremB", theoremB)
-
+        attempt("theoremB", lambda: vectors_theoremB(t, args.budget))
     if not is_field(t.ring) or t.ring.f == 1:
-        def dual():
-            cc, ch = vectors_dual(t, args.budget)
-            return cc, ch, cc.total()
-        attempt("dual", dual)
-
-    try:
-        for row in _closed_paths(t):
-            rows.append(row)
-    except ClassTooLarge as e:
-        skipped.append(("closed", str(e)))
-
-    attempt("conjugacy", lambda: (
-        lambda cc: (cc, None, cc.total()))(conjugacy_census(t, args.oracle_budget)))
-    attempt("coadjoint", lambda: (
-        lambda ch: (None, ch, ch.total()))(coadjoint_census(t, args.oracle_budget)))
+        attempt("dual", lambda: vectors_dual(t, args.budget))
+    closed = _closed_path(t)
+    if closed:
+        attempt(*closed)
+    attempt("conjugacy", lambda: (conjugacy_census(t, args.oracle_budget), None))
+    attempt("coadjoint", lambda: (None, coadjoint_census(t, args.oracle_budget)))
 
     if not rows:
         _diag("no verification path applies within budget")

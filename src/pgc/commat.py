@@ -1,23 +1,26 @@
 """Commutator matrices A(X), B(Y) and rank machinery over GF(q) and Z/p^e.
 
-A is a x b in the variables X_1..X_a with A(X)_{ik} = sum_j lambda_ij^k X_j;
-B is the skew a x a matrix with B(Y)_{ij} = sum_k lambda_ij^k Y_k. The e_i
-run over a basis of g modulo the centre and lambda_ij^k is the k-th
-coordinate of [e_i, e_j] in g', both read off echelon pivots by
-adapt_basis. Rank loci of A give class sizes, of B character degrees.
-Over Z/p^e the same batched kernel returns the length of the row span, for
-the dual route's image sizes.
+Everything starts from the structure tensor T[i, j, k] = lambda_ij^k of a
+table, as int64 codes (structure_tensor). A is a x b in the variables
+X_1..X_a with A(X)_{ik} = sum_j lambda_ij^k X_j; B is the skew a x a
+matrix with B(Y)_{ij} = sum_k lambda_ij^k Y_k. Both read one block of T in
+the coordinates of adapt_basis: the e_i run over a basis of g modulo the
+centre, and k over the echelon basis of g'. Rank loci of A give class
+sizes, of B character degrees. Censuses walk the reduced echelon bases of
+subspaces (echelon_bases, echelon_block); the monic points of F_q^n are
+its 1-dimensional level. Over Z/p^e the same batched kernel returns the
+length of the row span, for the dual route's image sizes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 
 import numpy as np
 
-from .liecore import ModRing, adapt_basis
+from .liecore import ModRing, adapt_basis, is_field
 
 
 class NotSkew(ValueError):
@@ -29,67 +32,61 @@ class BudgetExceeded(RuntimeError):
 
 
 class LinearFormMatrix:
-    """Matrix of linear forms: entry (r, c) = sum_v coeffs[r][c][v] Var_v."""
+    """Matrix of linear forms over GF(q): M(x) = sum_v x_v codes[v], with
+    codes an (nvars, rows, cols) int64 array of fs.to_int codes."""
 
-    def __init__(self, fs, rows, cols, nvars, coeffs, skew=False):
+    def __init__(self, fs, codes, skew=False):
         self.fs = fs
-        self.rows = rows
-        self.cols = cols
-        self.nvars = nvars
-        self.coeffs = coeffs  # coeffs[r][c][v], reduced field elements
+        self.codes = codes
+        self.nvars, self.rows, self.cols = codes.shape
         self.skew = skew
+
+    @cached_property
+    def _terms(self):
+        """Entry (r, c) as its (v, coefficient) pairs, zeros left out."""
+        fs = self.fs
+        return [[[(v, fs.from_int(x)) for v, x in enumerate(entry) if x] for entry in row]
+                for row in self.codes.transpose(1, 2, 0).tolist()]
 
     def evaluate(self, point):
         """Substitute the variables; returns a list of row tuples."""
         if len(point) != self.nvars:
             raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
         fs = self.fs
-        out = []
-        for r in range(self.rows):
-            row = []
-            for c in range(self.cols):
-                acc = fs.zero()
-                for v in range(self.nvars):
-                    cf = self.coeffs[r][c][v]
-                    if not fs.is_zero(cf) and not fs.is_zero(point[v]):
-                        acc = fs.add(acc, fs.mul(cf, point[v]))
-                row.append(acc)
-            out.append(tuple(row))
-        return out
+
+        def entry(terms):
+            return reduce(fs.add, (fs.mul(cf, point[v]) for v, cf in terms), fs.zero())
+
+        return [tuple(map(entry, row)) for row in self._terms]
 
     def __str__(self):
-        names = [f"V{v+1}" for v in range(self.nvars)]
-        lines = []
-        for r in range(self.rows):
-            ent = []
-            for c in range(self.cols):
-                terms = [
-                    f"{self.fs.fmt(cf)}*{names[v]}"
-                    for v, cf in enumerate(self.coeffs[r][c])
-                    if not self.fs.is_zero(cf)
-                ]
-                ent.append(" + ".join(terms) if terms else "0")
-            lines.append("[" + ", ".join(ent) + "]")
-        return "\n".join(lines)
+        def entry(terms):
+            return " + ".join(f"{self.fs.fmt(cf)}*V{v + 1}" for v, cf in terms) or "0"
+
+        return "\n".join("[" + ", ".join(map(entry, row)) + "]" for row in self._terms)
+
+
+def structure_tensor(table):
+    """T[i, j, k] = lambda_ij^k, antisymmetric in i, j: an (h, h, h) int64
+    array of fs.to_int codes over GF(q), of residues mod p^e over Z/p^e."""
+    ring, h = table.ring, table.h
+    code = ring.to_int if is_field(ring) else (lambda c: c % ring.m)
+    T = np.zeros((h, h, h), dtype=np.int64)
+    for (i, j), row in table.lam.items():
+        for k, c in row.items():
+            T[i, j, k], T[j, i, k] = code(c), code(ring.neg(c))
+    return T
 
 
 def build_commutator_matrices(table):
     """(A, B) of a field table in the coordinates of adapt_basis: X_j on
-    e_front[j], Y_k on the k-th echelon basis vector of g'."""
-    fs = table.ring
+    e_front[j], Y_k on the k-th echelon basis vector of g'. L[i, j, k] =
+    lambda_{front i, front j}^{tail k} holds A's codes as [j, i, k] and
+    B's as [k, i, j]."""
     front, tail = adapt_basis(table)
-    a, b = len(front), len(tail)
-    zero = fs.zero()
-    acf = [[[zero] * a for _ in range(b)] for _ in range(a)]
-    bcf = [[[zero] * b for _ in range(a)] for _ in range(a)]
-    for i, fi in enumerate(front):
-        for j, fj in enumerate(front):
-            row = table.bracket_basis(fi, fj)
-            for k, t in enumerate(tail):
-                acf[i][k][j] = bcf[i][j][k] = row.get(t, zero)
-    A = LinearFormMatrix(fs, a, b, a, acf)
-    B = LinearFormMatrix(fs, a, a, b, bcf, skew=True)
-    return A, B
+    L = structure_tensor(table)[np.ix_(front, front, tail)]
+    return (LinearFormMatrix(table.ring, L.transpose(1, 0, 2)),
+            LinearFormMatrix(table.ring, L.transpose(2, 0, 1), skew=True))
 
 
 def rank(matrix, fs):
@@ -120,6 +117,8 @@ def rank(matrix, fs):
             break
     return rk
 
+
+_STEP = 1 << 15  # points per block of the projective census and its lines
 
 # Element tables are O(q) int64 arrays, so larger fields are refused; only
 # nvars = 1 or a raised budget lets q^n <= budget reach them.
@@ -254,58 +253,56 @@ def _batch_length(M, p, e):
     return length
 
 
-def form_codes(M):
-    """(nvars, rows, cols) int64 codes with M(x) = sum_v x_v codes[v]."""
-    codes = [[[M.fs.to_int(x[v]) for x in r] for r in M.coeffs] for v in range(M.nvars)]
-    return np.array(codes, dtype=np.int64).reshape(M.nvars, M.rows, M.cols)
-
-
-def lincomb(fs, X, K):
-    """The products X K over GF(q) as codes: row i is sum_j X[i, j] K[j]."""
-    if fs.f == 1:  # one reduction mod p after the integer sum
-        return X @ K % fs.p
-    axpy = _arith(fs)[0]
+def lincomb(ring, X, K):
+    """The products X K over GF(q) or Z/p^e as codes: row i is sum_j
+    X[i, j] K[j]. Over Z/p^e and GF(p), one reduction after the integer
+    sum; over Z/p^e the caller bounds that sum with check_modulus."""
+    if isinstance(ring, ModRing):
+        return X @ K % ring.m
+    if ring.f == 1:
+        return X @ K % ring.p
+    axpy = _arith(ring)[0]
     out = np.zeros((X.shape[0], K.shape[1]), dtype=np.int64)
     for j in range(X.shape[1]):
         out = axpy(out, X[:, j : j + 1], K[j])
     return out
 
 
-def projective_ranks(M, lead, start, stop):
-    """Ranks of M at the monic points whose first nonzero coordinate is
-    `lead`, numbered start..stop-1 in projective_points order (the free
-    coordinates after lead are the base-q digits, last fastest)."""
-    q, free = M.fs.q, M.nvars - lead - 1
-    codes = form_codes(M).reshape(M.nvars, M.rows * M.cols)
-    idx = np.arange(start, stop, dtype=np.int64)
-    X = np.ones((idx.size, free + 1), dtype=np.int64)  # x_lead = 1
-    X[:, 1:] = (idx[:, None] // q ** np.arange(free - 1, -1, -1, dtype=np.int64)) % q
-    evals = lincomb(M.fs, X, codes[lead:])
-    return batch_rank(evals.reshape(idx.size, M.rows, M.cols), M.fs)
+def _free_entries(n, piv):
+    """(rows, cols) of the free entries of a reduced echelon basis in F_q^n
+    with pivot columns piv: right of their row's pivot, off the pivots."""
+    return np.array([(i, j) for i, p in enumerate(piv) for j in range(p + 1, n)
+                     if j not in piv], dtype=np.int64).reshape(-1, 2).T
 
 
 def echelon_bases(fs, n, k, step):
-    """Every k-dimensional subspace of F_q^n once, as its reduced echelon
-    basis, in (N, k, n) int64 blocks of codes with N <= step, one pivot set
-    per block. Pivot sets come in combinations order; the free entries of
-    a pivot set (right of their row's pivot, off the pivot columns) are the
-    base-q digits of a running index, last fastest."""
-    q = fs.q
+    """Every k-dimensional subspace of F_q^n once, as descriptors (piv,
+    start, stop) of blocks of at most step reduced echelon bases, one pivot
+    set per block; echelon_block builds a block. Pivot sets come in
+    combinations order; the free entries of a pivot set are the base-q
+    digits of a running index, last fastest. At k = 1 the bases are the
+    monic points of F_q^n in projective_points order."""
     for piv in combinations(range(n), k):
-        r, c = np.array([(i, j) for i, p in enumerate(piv) for j in range(p + 1, n)
-                         if j not in piv], dtype=np.int64).reshape(-1, 2).T
-        pw = q ** np.arange(r.size - 1, -1, -1, dtype=np.int64)
-        for s in range(0, q**r.size, step):
-            idx = np.arange(s, min(s + step, q**r.size), dtype=np.int64)
-            W = np.zeros((idx.size, k, n), dtype=np.int64)
-            W[:, np.arange(k), list(piv)] = 1
-            W[:, r, c] = idx[:, None] // pw % q
-            yield W
+        size = fs.q ** _free_entries(n, piv).shape[1]
+        for s in range(0, size, step):
+            yield piv, s, min(s + step, size)
+
+
+def echelon_block(fs, n, piv, start, stop):
+    """The (stop - start, k, n) int64 codes of the reduced echelon bases
+    start..stop-1 of pivot set piv (see echelon_bases)."""
+    q, (r, c) = fs.q, _free_entries(n, piv)
+    idx = np.arange(start, stop, dtype=np.int64)
+    W = np.zeros((idx.size, len(piv), n), dtype=np.int64)
+    W[:, np.arange(len(piv)), list(piv)] = 1
+    W[:, r, c] = idx[:, None] // q ** np.arange(r.size - 1, -1, -1, dtype=np.int64) % q
+    return W
 
 
 def stacked_ranks(fs, codes, W):
     """Ranks of the (kR) x n matrices M_W of x -> (M(x) w_1, ..., M(x) w_k)
-    for the bases w in the block W (N, k, C); codes (n, R, C) are M's."""
+    for the bases w in the block W (N, k, C); codes (n, R, C) are M's.
+    With codes.transpose(2, 1, 0) and k = 1, M_W is M(w)."""
     n, R, C = codes.shape
     N, k, _ = W.shape
     K = codes.transpose(2, 1, 0).reshape(C, R * n)  # K[c, (r, v)] = codes[v, r, c]
@@ -375,24 +372,26 @@ def projective_lines(fs, b):
     # a monic point x with first nonzero coordinate l has index base[l] + x pw
     base = np.cumsum([0] + [q ** (b - 1 - lead) for lead in range(b - 1)]) - pw
     t = np.arange(q, dtype=np.int64)[None, :, None]
-    for W in echelon_bases(fs, b, 2, max(1, (1 << 15) // (q + 1))):
-        (U, V), (i, j) = W.transpose(1, 0, 2), (W[0] != 0).argmax(axis=1)
-        on_u = base[i] + axpy(U[:, None], t, V[:, None]) @ pw
-        on_v = base[j] + V @ pw
+    for piv, start, stop in echelon_bases(fs, b, 2, max(1, _STEP // (q + 1))):
+        U, V = echelon_block(fs, b, piv, start, stop).transpose(1, 0, 2)
+        on_u = base[piv[0]] + axpy(U[:, None], t, V[:, None]) @ pw
+        on_v = base[piv[1]] + V @ pw
         yield np.concatenate([on_v[:, None], on_u], axis=1)
 
 
 def projective_rank_census(B, budget=10**9):
     """Counts of each rank over P^{b-1}(F_q) plus the line condition:
-    does every projective line contain a point of full rank?"""
+    does every projective line contain a point of full rank? The ranks
+    come from the k = 1 level of the echelon walk: B(x) is the stack at
+    W = <x> of the transposed codes (see stacked_ranks)."""
     fs = B.fs
     b = B.nvars
     if b < 1:
         return {}, True
     check_points(fs, b, budget)
-    ranks = np.concatenate(
-        [projective_ranks(B, lead, 0, fs.q ** (b - lead - 1)) for lead in range(b)]
-    )
+    codes = B.codes.transpose(2, 1, 0)
+    ranks = np.concatenate([stacked_ranks(fs, codes, echelon_block(fs, b, *blk))
+                            for blk in echelon_bases(fs, b, 1, _STEP)])
     census = dict(Counter(ranks.tolist()))
     full = ranks == B.rows
     for lines in projective_lines(fs, b):

@@ -13,6 +13,7 @@ Two routes to the same answers:
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import islice
@@ -21,7 +22,6 @@ from math import comb, prod
 import numpy as np
 
 from .liecore import (
-    LieRing,
     ModRing,
     centre,
     derived,
@@ -36,9 +36,10 @@ from .commat import (
     check_modulus,
     check_points,
     echelon_bases,
-    form_codes,
-    projective_ranks,
+    echelon_block,
+    lincomb,
     stacked_ranks,
+    structure_tensor,
 )
 
 DEFAULT_BUDGET = 10**9
@@ -110,37 +111,49 @@ def _exact_div(n, d):
 # rank distributions over F_q^n
 
 
-def _chunks(M):
-    """(lead, start, stop) blocks of the monic projective representatives
-    of F_q^nvars, in projective_points order."""
-    for lead in range(M.nvars):
-        size = M.fs.q ** (M.nvars - lead - 1)
-        for s in range(0, size, _CHUNK):
-            yield lead, s, min(s + _CHUNK, size)
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-def _sharded(tasks, run, shape, workers):
-    """counts[level, rank] over the tasks, run(task) giving (level, ranks).
-    With workers > 1 the tasks go round robin to a thread pool (numpy
-    releases the GIL); the sum does not depend on workers."""
-    def shard(worker):
-        counts = np.zeros(shape, dtype=np.int64)
-        for task in islice(tasks(), worker, None, workers):
-            level, ranks = run(task)
-            counts[level] += np.bincount(ranks, minlength=shape[1])
+def _walk(M, codes, levels, workers):
+    """counts[i, r] = #{W <= F_q^C : dim W = levels[i], rk M_W = r}, with
+    M_W the stacks of codes (n, R, C) (see stacked_ranks). The reduced
+    echelon bases come in blocks of about _CHUNK matrices of M's size.
+    With workers > 1 the block descriptors go round robin to a thread pool
+    (numpy releases the GIL), so each thread builds only its own blocks;
+    the pool has at most one thread per usable CPU and per block. The
+    counts do not depend on workers."""
+    fs = M.fs
+    n, R, C = codes.shape
+
+    def blocks():
+        for i, k in enumerate(levels):
+            step = max(1, _CHUNK * max(M.rows * M.cols, 1) // max(k * R * n, 1))
+            for blk in echelon_bases(fs, C, k, step):
+                yield i, blk
+
+    def shard(worker, workers):
+        counts = np.zeros((len(levels), n + 1), dtype=np.int64)
+        for i, blk in islice(blocks(), worker, None, workers):
+            ranks = stacked_ranks(fs, codes, echelon_block(fs, C, *blk))
+            counts[i] += np.bincount(ranks, minlength=n + 1)
         return counts
 
+    if workers > 1:
+        workers = min(workers, _usable_cpus(), sum(1 for _ in blocks()))
     if workers <= 1:
-        return shard(0)
+        return shard(0, 1)
     with ThreadPoolExecutor(max_workers=workers) as ex:
-        return sum(ex.map(shard, range(workers)))
+        return sum(ex.map(shard, range(workers), [workers] * workers))
 
 
 def _point_census(M, workers):
-    """Rank counts from the monic representatives, each counting q-1 times
-    (M is linear in x), plus the origin."""
-    counts = _sharded(lambda: _chunks(M), lambda c: (0, projective_ranks(M, *c)),
-                      (1, min(M.rows, M.cols) + 1), workers)[0]
+    """Rank counts from the monic representatives, the k = 1 level of the
+    walk over M's transposed codes (M(x) is the stack at W = <x>), each
+    counting q-1 times (M is linear in x), plus the origin."""
+    counts = _walk(M, M.codes.transpose(2, 1, 0), [1], workers)[0]
     counts = counts * (M.fs.q - 1)
     counts[0] += 1  # the origin
     return {r: c for r, c in enumerate(counts.tolist()) if c}
@@ -167,25 +180,18 @@ def _kernel_census(M, workers):
     """Rank counts from the subspaces W of F_q^C, M transposed to C =
     min(R, C) columns. {x : W <= ker M(x)} = ker M_W (see stacked_ranks),
     so S_k = sum_{dim W = k} q^(n - rk M_W) = sum_{d >= k} g(d) [d choose
-    k]_q, where g(d) counts the x of rank C - d. g is solved for from d = C
-    down, and g(0) from S_0 = q^n. The S_k are Python ints: they overflow
-    int64 long before q^n does."""
-    fs, n, q = M.fs, M.nvars, M.fs.q
-    codes = form_codes(M) if M.rows >= M.cols else form_codes(M).transpose(0, 2, 1)
+    k]_q, where g(d) counts the x of rank C - d, and S_0 = q^n. g is solved
+    for from d = C down. The S_k are Python ints: they overflow int64 long
+    before q^n does."""
+    n, q = M.nvars, M.fs.q
+    codes = M.codes if M.rows >= M.cols else M.codes.transpose(0, 2, 1)
     C = codes.shape[2]
-
-    def tasks():
-        for k in range(1, C + 1):  # chunks of _CHUNK R C entries, as in _chunks
-            for W in echelon_bases(fs, C, k, max(1, _CHUNK * C // (k * max(n, 1)))):
-                yield k, W
-
-    counts = _sharded(tasks, lambda task: (task[0], stacked_ranks(fs, codes, task[1])),
-                      (C + 1, n + 1), workers)
-    S = [sum(c * q ** (n - r) for r, c in enumerate(row)) for row in counts.tolist()]
+    counts = _walk(M, codes, range(1, C + 1), workers)
+    S = [q**n] + [sum(c * q ** (n - r) for r, c in enumerate(row))
+                  for row in counts.tolist()]
     g = [0] * (C + 1)
-    for d in range(C, 0, -1):
+    for d in range(C, -1, -1):
         g[d] = S[d] - sum(g[e] * _qbinom(e, d, q) for e in range(d + 1, C + 1))
-    g[0] = q**n - sum(g)
     # off the origin, the rank is constant on the q - 1 nonzero points of a line
     if min(g) < 0 or any((gd - (d == C)) % (q - 1) for d, gd in enumerate(g)):
         raise InexactDivision(f"kernel census {g} is not a count of points")
@@ -290,16 +296,6 @@ def class_number(table, budget=DEFAULT_BUDGET):
 # dual route over Z/p^e (and GF(p), for cross-checks)
 
 
-def _as_modular(table):
-    R = table.ring
-    if isinstance(R, ModRing):
-        return table, R
-    if is_field(R) and R.f == 1:
-        R2 = ModRing(R.p, 1)
-        return LieRing(R2, table.h, dict(table.lam), table.name), R2
-    raise ValueError("dual route requires Z/p^e or prime-field coefficients")
-
-
 def _length_census(gens, orders, forms, ring):
     """Counts of l over the points x = sum_i t_i gens[i], 0 <= t_i <
     orders[i], where |row span of sum_k x_k forms[k]| = p^l over Z/p^e.
@@ -309,15 +305,14 @@ def _length_census(gens, orders, forms, ring):
     forms = forms[:, forms.any(axis=(0, 2))][:, :, forms.any(axis=(0, 1))]
     _, R, C = forms.shape  # zero rows and columns add nothing to a span
     G = np.array([[x % m for x in g] for g in gens], dtype=np.int64)
-    G = G.reshape(len(gens), h)
+    GK = G.reshape(len(gens), h) @ forms.reshape(h, R * C) % m  # forms at gens
     strides = np.cumprod([1] + orders[:-1], dtype=np.int64)
     total = prod(orders)
-    flat = forms.reshape(h, R * C)
     counts = np.zeros(ring.e * min(R, C) + 1, dtype=np.int64)
     for start in range(0, total, _DUAL_CHUNK):
         idx = np.arange(start, min(start + _DUAL_CHUNK, total), dtype=np.int64)
-        X = (idx[:, None] // strides % np.array(orders, dtype=np.int64)) @ G % m
-        mats = (X @ flat % m).reshape(idx.size, R, C)
+        t = idx[:, None] // strides % np.array(orders, dtype=np.int64)
+        mats = lincomb(ring, t, GK).reshape(idx.size, R, C)
         counts += np.bincount(batch_rank(mats, ring), minlength=counts.size)
     return counts.tolist()
 
@@ -328,7 +323,11 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     ch_i = #{omega in g'^ : |im B_omega| = p^{2i}} |G/G'| p^{-2i},
     with B_omega = (omega[e_a, e_b]); |im B_omega| is the index of the
     radical of the form omega[., .] in g."""
-    table, R = _as_modular(table)
+    R = table.ring
+    if is_field(R):  # GF(p), for cross-checks: lengths over Z/p are ranks
+        if R.f > 1:
+            raise ValueError("dual route requires Z/p^e or prime-field coefficients")
+        R = ModRing(R.p, 1)
     p, m, h = R.p, R.m, table.h
     _, c = lower_central_series(table)
     if c >= p:
@@ -345,10 +344,7 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     if max(quo_order, dsub.order()) >= 1 << 63:
         raise BudgetExceeded("|g/z| or |g'^| does not fit a 64-bit point index")
     check_modulus(m, h)
-    L = np.zeros((h, h, h), dtype=np.int64)  # L[i, j, k] = lambda_ij^k
-    for (i, j), row in table.lam.items():
-        for k, lam in row.items():
-            L[i, j, k], L[j, i, k] = lam % m, -lam % m
+    L = structure_tensor(table)
 
     # class side: ad_x has rows [x, e_j] = sum_i x_i L[i, j], over the coset
     # representatives sum_i t_i Vinv_i of g/z, 0 <= t_i < d_i

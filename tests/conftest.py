@@ -1,6 +1,9 @@
 """Shared table builders for the test suite."""
 
+import numpy as np
+
 from pgc import (
+    LinearFormMatrix,
     make_field,
     ModRing,
     LieRing,
@@ -14,6 +17,14 @@ from pgc import (
 
 def heisenberg(ring):
     return LieRing(ring, 3, {(0, 1): {2: 1}}, "heisenberg")
+
+
+def form_matrix(fs, rows, cols, nvars, coeffs):
+    """The rows x cols LinearFormMatrix with entry (r, c) equal to
+    sum_v coeffs[r][c][v] Var_v, coefficients given as field elements."""
+    codes = np.array([[[fs.to_int(x) for x in entry] for entry in row]
+                      for row in coeffs], dtype=np.int64)
+    return LinearFormMatrix(fs, codes.reshape(rows, cols, nvars).transpose(2, 0, 1))
 
 
 def field_pool():

@@ -16,10 +16,13 @@ import sys
 
 import pytest
 
+import pgc.cli
 import pgc.enumctr
 import pgc.lazard
 import pgc.liecore
-from pgc import make_field, LieRing, ModRing, validate, pfaffian_case_vectors
+from pgc import (
+    make_field, LieRing, ModRing, BudgetExceeded, validate, pfaffian_case_vectors,
+)
 from pgc.cli import (
     run, parse_lie, emit_lie,
     LieSyntaxError, DuplicateBracket, BadCoefficient,
@@ -241,6 +244,35 @@ def test_vectors_threads_deterministic(tmp_path, capsys):
     assert obj["k"] == 89
 
 
+@pytest.mark.parametrize("method", ["matrix", "dual"])
+def test_vectors_threads_below_one_is_invalid(tmp_path, capsys, method):
+    f = _write(tmp_path, HEIS5)
+    assert run(["vectors", f, "--method", method, "--threads", "0"]) == 2
+    assert "--threads 0" in capsys.readouterr().err
+
+
+HEIS5_GA = HEIS5.replace("name heis", "name g_alpha(1 mod 5)")
+
+
+def test_verify_records_a_formula_whose_hypotheses_fail(tmp_path, capsys):
+    # the name asks for the Pfaffian case formulas, but a = 2
+    assert run(["verify", _write(tmp_path, HEIS5_GA)]) == 0
+    out = capsys.readouterr().out
+    assert "path formula    skipped (a = 2 <= 2)\n" in out
+    assert out.endswith("verify: 4 paths agree\n")
+
+
+def test_verify_records_a_formula_over_budget(tmp_path, capsys, monkeypatch):
+    def over_budget(*args):
+        raise BudgetExceeded("q^n = 10 exceeds budget 1")
+
+    monkeypatch.setattr(pgc.cli, "pfaffian_case_vectors", over_budget)
+    assert run(["verify", _write(tmp_path, HEIS5_GA)]) == 0
+    out = capsys.readouterr().out
+    assert "path formula    skipped (budget)\n" in out
+    assert out.endswith("verify: 4 paths agree\n")
+
+
 def test_vectors_computes_the_lower_central_series_once(tmp_path, capsys,
                                                         monkeypatch):
     calls = []
@@ -336,7 +368,7 @@ def test_vectors_refuses_an_oversized_census_before_ranking(tmp_path, capsys,
     def kernel(*args):
         raise AssertionError("a census started")
 
-    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", kernel)
     f = str(tmp_path / "f25.lie")
     assert run(["free", "-r", "2", "-c", "5", "-p", "7", "--emit", f]) == 0
     capsys.readouterr()

@@ -1,6 +1,8 @@
 """Commutator matrices, ranks, Pfaffians, projective censuses."""
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -8,14 +10,15 @@ import numpy as np
 
 import pgc.commat
 from pgc import (
-    make_field, ModRing, LinearFormMatrix,
+    make_field, ModRing,
     NotSkew, BudgetExceeded,
     build_commutator_matrices, rank, batch_rank,
     pfaffian, projective_points, projective_rank_census,
     free_table, quadric_table, boston_isaacs_table,
 )
-from pgc.commat import projective_lines
-from conftest import heisenberg
+from pgc.commat import projective_lines, structure_tensor
+from pgc.liecore import is_field
+from conftest import field_pool, form_matrix, heisenberg, modular_pool
 
 
 def test_heisenberg_matrices_entrywise():
@@ -27,6 +30,18 @@ def test_heisenberg_matrices_entrywise():
     assert A.evaluate((0, 1)) == [(1,), (0,)]
     assert B.rows == 2 and B.cols == 2 and B.nvars == 1 and B.skew
     assert B.evaluate((1,)) == [(0, 1), (4, 0)]
+
+
+def test_structure_tensor_is_the_bracket_codes():
+    for t in field_pool() + modular_pool():
+        R, h = t.ring, t.h
+        code = R.to_int if is_field(R) else (lambda c: c % R.m)
+        T = structure_tensor(t)
+        assert T.shape == (h, h, h) and T.dtype == np.int64, t.name
+        for i, j, k in itertools.product(range(h), repeat=3):
+            lam = t.bracket_basis(i, j).get(k, R.zero())
+            assert T[i, j, k] == code(lam), (t.name, i, j, k)
+            assert T[j, i, k] == code(R.neg(lam)), (t.name, i, j, k)
 
 
 def test_rank_matches_batch_rank():
@@ -187,6 +202,34 @@ def test_projective_rank_census_quadric():
     assert census[2] == 16
 
 
+@pytest.mark.parametrize("p,f", [(2, 2), (5, 1), (3, 2)],
+                         ids=["GF(4)", "GF(5)", "GF(9)"])
+def test_projective_rank_census_ranks_in_point_order(p, f, monkeypatch):
+    # the ranks projective_lines indexes into are those of projective_points
+    fs = make_field(p, f)
+    rng = random.Random(p * f)
+    mats = [build_commutator_matrices(heisenberg(fs))[1],
+            build_commutator_matrices(free_table(3, 2, fs))[1]]
+    for b in (2, 3, 4):
+        coeffs = [[[rng.choice(fs.elements()) for _ in range(b)] for _ in range(3)]
+                  for _ in range(2)]
+        mats.append(form_matrix(fs, 2, 3, b, coeffs))
+    seen, original = [], pgc.commat.stacked_ranks
+
+    def recorded(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(pgc.commat, "stacked_ranks", recorded)
+    for B in mats:
+        seen.clear()
+        census, _ = projective_rank_census(B)
+        want = [rank(B.evaluate(pt), fs) for pt in projective_points(fs, B.nvars)]
+        assert np.concatenate(seen).tolist() == want, (B.nvars, B.rows, B.cols)
+        assert census == dict(Counter(want))
+    assert {B.nvars for B in mats} == {1, 2, 3, 4}
+
+
 def _lines_by_pairs(fs, b):
     """Every line of P^{b-1}(F_q) as a set of point indices, built from
     each pair of points with the reference arithmetic."""
@@ -236,5 +279,5 @@ def test_line_condition_counts_every_point_of_a_line():
     for (a, b), census in [(((0, 1), (1, 1)), {2: 1, 1: 2}),
                            (((1, 0), (1, 1)), {2: 1, 1: 2})]:
         coeffs = [[list(a), [0, 0]], [[0, 0], list(b)]]
-        M = LinearFormMatrix(fs, 2, 2, 2, coeffs)
+        M = form_matrix(fs, 2, 2, 2, coeffs)
         assert projective_rank_census(M) == (census, True)

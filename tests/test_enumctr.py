@@ -1,6 +1,7 @@
 """Rank censuses, the two counting routes, and exact interpolation."""
 
 import itertools
+import os
 import random
 import time
 import tracemalloc
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from pgc import (
-    make_field, ModRing, LieRing, LinearFormMatrix, rank,
+    make_field, ModRing, LieRing, rank,
     rank_distribution, quadric_table,
     BudgetExceeded, ClassTooLarge, CountVector,
     rank_distribution_A, rank_distribution_B,
@@ -21,7 +22,7 @@ from pgc import (
 import pgc.enumctr
 from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision
 from pgc.enumctr import _kernel_census, _kernel_route_cheaper, _point_census
-from conftest import change_basis, heisenberg, dual_pool, field_pool
+from conftest import change_basis, heisenberg, dual_pool, field_pool, form_matrix
 
 
 def test_heisenberg_rank_loci():
@@ -54,7 +55,7 @@ def _one_form(fs, nvars, rows=1, cols=1):
     """rows x cols matrix whose every entry is the first variable."""
     coeffs = [[[fs.one()] + [fs.zero()] * (nvars - 1) if nvars else []
                for _ in range(cols)] for _ in range(rows)]
-    return LinearFormMatrix(fs, rows, cols, nvars, coeffs)
+    return form_matrix(fs, rows, cols, nvars, coeffs)
 
 
 def test_rank_distribution_matches_brute_force():
@@ -77,7 +78,7 @@ def test_rank_distribution_independent_of_workers(fs, monkeypatch):
     A, B = build_commutator_matrices(free_table(2, 3, fs))
     coeffs = [[[fs.embed(r + 2 * c + v) for v in range(4)] for c in range(3)]
               for r in range(2)]
-    M4 = LinearFormMatrix(fs, 2, 3, 4, coeffs)
+    M4 = form_matrix(fs, 2, 3, 4, coeffs)
     for M in (A, B, M4):
         want = _brute_force_distribution(M)
         for w in (1, 2, 3):
@@ -85,9 +86,9 @@ def test_rank_distribution_independent_of_workers(fs, monkeypatch):
 
 
 def _zero_form(fs, rows, cols, nvars):
-    return LinearFormMatrix(fs, rows, cols, nvars,
-                            [[[fs.zero()] * nvars for _ in range(cols)]
-                             for _ in range(rows)])
+    return form_matrix(fs, rows, cols, nvars,
+                       [[[fs.zero()] * nvars for _ in range(cols)]
+                        for _ in range(rows)])
 
 
 def test_kernel_census_matches_point_census():
@@ -116,11 +117,67 @@ def test_kernel_census_independent_of_workers(fs, monkeypatch):
     A, B = build_commutator_matrices(free_table(2, 3, fs))
     coeffs = [[[fs.embed(r + 2 * c + v) for v in range(4)] for c in range(3)]
               for r in range(2)]
-    M4 = LinearFormMatrix(fs, 2, 3, 4, coeffs)
+    M4 = form_matrix(fs, 2, 3, 4, coeffs)
     for M in (A, B, M4):
         want = _brute_force_distribution(M)
         for w in (1, 2, 3):
             assert _kernel_census(M, w) == want, (M.nvars, w)
+
+
+@pytest.mark.parametrize("route", [_point_census, _kernel_census],
+                         ids=["points", "kernel"])
+def test_each_block_is_built_once(route, monkeypatch):
+    # 7 points per block: many blocks, dealt out to every worker
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", 7)
+    built, original = [], pgc.enumctr.echelon_block
+
+    def counted(fs, n, piv, start, stop):
+        built.append((n, piv, start, stop))
+        return original(fs, n, piv, start, stop)
+
+    monkeypatch.setattr(pgc.enumctr, "echelon_block", counted)
+    fs = make_field(5)
+    for M in build_commutator_matrices(free_table(2, 3, fs)):
+        want = None
+        for w in (1, 2, 3):
+            built.clear()
+            assert route(M, w) == _brute_force_distribution(M)
+            assert len(built) == len(set(built)) > 3, (M.nvars, w)
+            want = want or sorted(built)
+            assert sorted(built) == want, (M.nvars, w)
+
+
+def test_thread_pool_never_exceeds_the_cpus_or_the_blocks(monkeypatch):
+    sizes = []
+
+    class Serial:
+        """Records the pool size and runs the shards one after another."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(pgc.enumctr, "ThreadPoolExecutor", Serial)
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", 7)
+    fs = make_field(5)
+    A, B = build_commutator_matrices(free_table(2, 3, fs))
+    for census in (_point_census, _kernel_census):
+        for M in (A, B):
+            assert census(M, 10_000) == _brute_force_distribution(M)
+    assert all(size <= os.cpu_count() for size in sizes)
+    # one block: no pool at all
+    sizes.clear()
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", 1 << 15)
+    _point_census(build_commutator_matrices(heisenberg(fs))[1], 10_000)
+    assert sizes == []
 
 
 def test_route_rule_on_benchmark_censuses():
@@ -139,10 +196,11 @@ def test_kernel_census_sums_exactly_past_int64(monkeypatch):
     def kernel(*args):
         raise AssertionError("the point census started")
 
-    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    monkeypatch.setattr(pgc.enumctr, "_point_census", kernel)
     fs, n = make_field(3), 39
-    x1 = _zero_form(fs, 3, 3, n)
-    x1.coeffs[0][0][0] = fs.one()
+    coeffs = [[[fs.zero()] * n for _ in range(3)] for _ in range(3)]
+    coeffs[0][0][0] = fs.one()
+    x1 = form_matrix(fs, 3, 3, n, coeffs)
     assert rank_distribution(x1, budget=10**19) == {0: 3**38, 1: 3**39 - 3**38}
     assert rank_distribution(_zero_form(fs, 3, 3, n), budget=10**19) == {0: 3**39}
 
@@ -151,7 +209,7 @@ def test_oversized_census_is_a_budget_error(monkeypatch):
     def kernel(*args):
         raise AssertionError("the census started")
 
-    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", kernel)
     M = _one_form(make_field(101), 11)
     with pytest.raises(BudgetExceeded, match="64-bit"):
         rank_distribution(M, budget=10**30)
@@ -168,7 +226,7 @@ def test_theoremB_checks_both_budgets_before_either_census(monkeypatch):
     def kernel(*args):
         raise AssertionError("a census started")
 
-    monkeypatch.setattr(pgc.enumctr, "projective_ranks", kernel)
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", kernel)
     with pytest.raises(BudgetExceeded, match="exceeds budget"):
         vectors_theoremB(free_table(2, 5, make_field(7)))
 
@@ -199,8 +257,8 @@ def test_large_extension_field_census_allocates_no_qn_array():
     fs = make_field(3, 7)
     q = fs.q
     x1 = _one_form(fs, 2)
-    row = LinearFormMatrix(fs, 1, 2, 2, [[[fs.one(), fs.zero()],
-                                          [fs.zero(), fs.one()]]])  # (x1 x2)
+    row = form_matrix(fs, 1, 2, 2, [[[fs.one(), fs.zero()],
+                                     [fs.zero(), fs.one()]]])  # (x1 x2)
     tracemalloc.start()
     t0 = time.perf_counter()
     try:

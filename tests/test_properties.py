@@ -14,7 +14,6 @@ from pgc import (
     make_field,
     ModRing,
     LieRing,
-    LinearFormMatrix,
     build_commutator_matrices,
     rank, pfaffian,
     free_table, validate,
@@ -28,7 +27,7 @@ from pgc.enumctr import _kernel_census, _point_census
 from pgc.liecore import smith_mod, span_mod
 from pgc.lazard import _mat_mul
 
-from conftest import change_basis
+from conftest import change_basis, form_matrix
 from test_liecore import _generated, _identity, _matmul_mod
 
 N_BILINEAR = 400
@@ -177,9 +176,9 @@ def _matrix_space(draw):
     rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
     n = draw(st.integers(0, 4).filter(lambda n: fs.q**n <= 729))
     coeff = st.sampled_from([0] * fs.q + list(range(fs.q))).map(fs.from_int)
-    return LinearFormMatrix(fs, rows, cols, n,
-                            [[[draw(coeff) for _ in range(n)] for _ in range(cols)]
-                             for _ in range(rows)])
+    return form_matrix(fs, rows, cols, n,
+                       [[[draw(coeff) for _ in range(n)] for _ in range(cols)]
+                        for _ in range(rows)])
 
 
 @settings(max_examples=N_KERNEL_CENSUS, **_SETTINGS)
