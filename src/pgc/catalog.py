@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .field import make_field, prime_power
 from .liecore import LieRing, is_field
-from .commat import build_commutator_matrices, projective_rank_census
+from .commat import build_commutator_matrices, check_points, projective_rank_census
 from .enumctr import CountVector, DEFAULT_BUDGET, _exact_div
 
 
@@ -126,6 +126,7 @@ def pfaffian_case_vectors(table, q=None, budget=DEFAULT_BUDGET):
     f, h = fs.f, table.h
     A, B = build_commutator_matrices(table)
     a, b = A.nvars, B.nvars
+    check_points(fs, b, budget)
     census, line_ok = projective_rank_census(B, budget)
     n = census.get(a - 2, 0)
     report = PfaffianReport(a=a, b=b, n=n, rank_set=set(census),

@@ -495,11 +495,11 @@ _QUADRIC_NAME = re.compile(r"quadric\((\d+)\)$")
 _BI_NAME = re.compile(r"g_alpha\((\d+) mod (\d+)\)$")
 
 
-def _closed_path(t):
+def _closed_path(t, budget):
     """(label, path) for a field table recognized by name, else None;
-    path() gives (cc, ch, k). Closed forms are keyed by exponents of q;
-    they are re-keyed by exponents of p, as every counting route reports
-    them."""
+    path() gives (cc, ch, k), the Pfaffian formula's census within budget.
+    Closed forms are keyed by exponents of q; they are re-keyed by
+    exponents of p, as every counting route reports them."""
     def rekey(v):
         return None if v is None else {i * t.ring.f: n for i, n in v.items()}
 
@@ -519,7 +519,7 @@ def _closed_path(t):
     if _QUADRIC_NAME.fullmatch(t.name):
         return "closed", quadric
     if _BI_NAME.fullmatch(t.name):
-        return "formula", lambda: pfaffian_case_vectors(t)[:3]
+        return "formula", lambda: pfaffian_case_vectors(t, None, budget)[:3]
     return None
 
 
@@ -545,7 +545,7 @@ def _cmd_verify(args):
         attempt("theoremB", lambda: vectors_theoremB(t, args.budget))
     if not is_field(t.ring) or t.ring.f == 1:
         attempt("dual", lambda: vectors_dual(t, args.budget))
-    closed = _closed_path(t)
+    closed = _closed_path(t, args.budget)
     if closed:
         attempt(*closed)
     attempt("conjugacy", lambda: (conjugacy_census(t, args.oracle_budget), None))

@@ -16,8 +16,9 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
-from math import comb, prod
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -160,50 +161,88 @@ def _point_census(M, workers):
 
 
 def _qbinom(d, k, q):
-    """[d choose k]_q, the number of k-dim subspaces of F_q^d."""
-    num = prod(q ** (d - i) - 1 for i in range(k))
+    """[d choose k]_q, the number of k-dim subspaces of F_q^d (0 if k > d)."""
+    num = prod(q ** max(d - i, 0) - 1 for i in range(k))
     return num // prod(q**i - 1 for i in range(1, k + 1))
 
 
-def _kernel_route_cheaper(q, n, R, C):
-    """Is the kernel census of an R x C matrix in n variables over GF(q)
-    cheaper than its point census? batch_rank's work is about matrices x
-    rows x cols^2: (q^n - 1)/(q - 1) R x C matrices against [C' choose
-    k]_q stacks k R' x n for k = 1..C', where C' = min(R, C), R' = max."""
-    points = (q**n - 1) // (q - 1) * R * C * C
+# batch_rank work (matrices x rows x cols^2) as slow as one block's fixed cost
+_BLOCK_WORK = 1 << 13
+
+
+@lru_cache(maxsize=None)
+def _kernel_levels(q, C, skew):
+    """(levels, solve) of the kernel census with C <= R columns over GF(q).
+    g(d) = #{x : dim ker M(x) = d} is 0 off the support d in 0..C (C - d
+    even if M is skew). levels are the cheapest k whose S_k = sum_d g(d)
+    [d choose k]_q, with S_0, make a square invertible system there: by
+    stacks ranked, [C choose k]_q k, each k whose row is independent of
+    those taken (a matroid, so greedy costs least). Integer Gauss-Jordan
+    gives g(d) = (c . S) / p for (d, p, c) in solve."""
+    def primitive(row):
+        g = gcd(*row)
+        return tuple(x // g for x in row)
+
+    support = [d for d in range(C + 1) if not skew or (C - d) % 2 == 0]
+    m = len(support)
+    taken, basis = [], {}  # pivot column -> row
+    for k in [0] + sorted(range(1, C + 1), key=lambda k: (_qbinom(C, k, q) * k, k)):
+        row = [_qbinom(d, k, q) for d in support]
+        row += [int(i == len(taken)) for i in range(m)]  # S_k's place in S
+        for j, b in basis.items():
+            row = [x * b[j] - row[j] * y for x, y in zip(row, b)]
+        j = next((j for j in range(m) if row[j]), None)
+        if j is not None:
+            basis = {i: primitive([x * row[j] - b[j] * y for x, y in zip(b, row)])
+                     for i, b in basis.items()}
+            basis[j] = primitive(row)
+            taken.append(k)
+    if len(taken) < m:
+        raise InexactDivision(f"levels {taken} do not determine g on {support}")
+    return tuple(taken[1:]), tuple((support[j], b[j], b[m:]) for j, b in basis.items())
+
+
+def _census_plan(q, n, R, C, skew):
+    """Levels of the kernel census of an R x C matrix in n variables over
+    GF(q), or None if the point census costs less: batch_rank work plus
+    _BLOCK_WORK a block. Points: (q^n - 1)/(q - 1) R x C matrices in n
+    blocks. Level k: [C' choose k]_q stacks k R' x n in comb(C', k) blocks,
+    C' = min(R, C), R' = max; and one block more for the solve."""
+    points = (q**n - 1) // (q - 1) * R * C * C + n * _BLOCK_WORK
     R, C = max(R, C), min(R, C)
-    kernel = sum(_qbinom(C, k, q) * k * R * n * n for k in range(1, C + 1))
-    return kernel < points
+    levels = _kernel_levels(q, C, skew)[0]
+    kernel = _BLOCK_WORK + sum(_qbinom(C, k, q) * k * R * n * n
+                               + comb(C, k) * _BLOCK_WORK for k in levels)
+    return levels if kernel < points else None
 
 
 def _kernel_census(M, workers):
     """Rank counts from the subspaces W of F_q^C, M transposed to C =
     min(R, C) columns. {x : W <= ker M(x)} = ker M_W (see stacked_ranks),
-    so S_k = sum_{dim W = k} q^(n - rk M_W) = sum_{d >= k} g(d) [d choose
-    k]_q, where g(d) counts the x of rank C - d, and S_0 = q^n. g is solved
-    for from d = C down. The S_k are Python ints: they overflow int64 long
-    before q^n does."""
+    so S_k = sum_{dim W = k} q^(n - rk M_W) = sum_d g(d) [d choose k]_q,
+    where g(d) counts the x of rank C - d, and S_0 = q^n. g is solved for
+    exactly from the levels of _kernel_levels. The S_k are Python ints:
+    they overflow int64 long before q^n does."""
     n, q = M.nvars, M.fs.q
     codes = M.codes if M.rows >= M.cols else M.codes.transpose(0, 2, 1)
     C = codes.shape[2]
-    counts = _walk(M, codes, range(1, C + 1), workers)
+    levels, solve = _kernel_levels(q, C, M.skew)
+    counts = _walk(M, codes, levels, workers)
     S = [q**n] + [sum(c * q ** (n - r) for r, c in enumerate(row))
                   for row in counts.tolist()]
-    g = [0] * (C + 1)
-    for d in range(C, -1, -1):
-        g[d] = S[d] - sum(g[e] * _qbinom(e, d, q) for e in range(d + 1, C + 1))
+    g = {d: divmod(sum(c * s for c, s in zip(cs, S)), p) for d, p, cs in solve}
     # off the origin, the rank is constant on the q - 1 nonzero points of a line
-    if min(g) < 0 or any((gd - (d == C)) % (q - 1) for d, gd in enumerate(g)):
+    if any(r or x < 0 or (x - (d == C)) % (q - 1) for d, (x, r) in g.items()):
         raise InexactDivision(f"kernel census {g} is not a count of points")
-    return {C - d: g[d] for d in range(C, -1, -1) if g[d]}
+    return {C - d: x for d, (x, _) in sorted(g.items(), reverse=True) if x}
 
 
 def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
     """{rank: #points x in F_q^nvars with rk M(x) = rank}, by the census
-    _kernel_route_cheaper rates cheaper. workers shards it over threads;
-    the result does not depend on workers."""
+    _census_plan rates cheaper. workers shards it over threads; the result
+    does not depend on workers."""
     check_points(M.fs, M.nvars, budget)
-    if _kernel_route_cheaper(M.fs.q, M.nvars, M.rows, M.cols):
+    if _census_plan(M.fs.q, M.nvars, M.rows, M.cols, M.skew) is not None:
         return _kernel_census(M, workers)
     return _point_census(M, workers)
 

@@ -27,6 +27,19 @@ def form_matrix(fs, rows, cols, nvars, coeffs):
     return LinearFormMatrix(fs, codes.reshape(rows, cols, nvars).transpose(2, 0, 1))
 
 
+def skew_form(fs, size, nvars, coeff):
+    """The size x size skew LinearFormMatrix whose entry (r, c), r < c, is
+    sum_v coeff() Var_v and whose entry (c, r) is its negative; coeff gives
+    a field element per call."""
+    codes = np.zeros((nvars, size, size), dtype=np.int64)
+    for r in range(size):
+        for c in range(r + 1, size):
+            for v in range(nvars):
+                x = coeff()
+                codes[v, r, c], codes[v, c, r] = fs.to_int(x), fs.to_int(fs.neg(x))
+    return LinearFormMatrix(fs, codes, skew=True)
+
+
 def field_pool():
     """Small field tables with class < p, one per shape we care about."""
     return [

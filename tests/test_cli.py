@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+import pgc.catalog
 import pgc.cli
 import pgc.enumctr
 import pgc.lazard
@@ -271,6 +272,22 @@ def test_verify_records_a_formula_over_budget(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "path formula    skipped (budget)\n" in out
     assert out.endswith("verify: 4 paths agree\n")
+
+
+def test_verify_budget_bounds_the_formula_path(tmp_path, capsys, monkeypatch):
+    def census(*args):
+        raise AssertionError("the formula's projective census started")
+
+    f = str(tmp_path / "ga13.lie")
+    assert run(["catalog", "boston_isaacs", "--alpha", "1", "-p", "3",
+                "--emit", f]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(pgc.catalog, "projective_rank_census", census)
+    assert run(["verify", f, "--budget", "1"]) == 0
+    out = capsys.readouterr().out
+    for label in ("theoremB", "dual", "formula"):
+        assert f"path {label:<10} skipped (budget)\n" in out
+    assert out.endswith("verify: 2 paths agree\n")
 
 
 def test_vectors_computes_the_lower_central_series_once(tmp_path, capsys,

@@ -21,8 +21,9 @@ from pgc import (
 )
 import pgc.enumctr
 from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision
-from pgc.enumctr import _kernel_census, _kernel_route_cheaper, _point_census
-from conftest import change_basis, heisenberg, dual_pool, field_pool, form_matrix
+from pgc.enumctr import _census_plan, _kernel_census, _kernel_levels, _point_census
+from conftest import (change_basis, heisenberg, dual_pool, field_pool, form_matrix,
+                      skew_form)
 
 
 def test_heisenberg_rank_loci():
@@ -97,13 +98,16 @@ def test_kernel_census_matches_point_census():
             _zero_form(make_field(2, 2), 2, 3, 0)]
     for t in field_pool():
         mats += build_commutator_matrices(t)
-    # the 6 x 6 B(Y) of the three class-2 tables with b = 3 have 3.6e6 to
-    # 6.2e7 kernel subspaces; the rest have at most 42,175
+    # the 6 x 6 B(Y) of the three class-2 tables with b = 3 rank 5.1e5 to
+    # 6.9e6 subspaces at levels 1, 2 and 6; the rest rank at most 42,175
     ran = [M for M in mats if not (M.rows == M.cols == 6 and M.nvars == 3)]
     assert len(mats) - len(ran) == 3
     shapes = {(M.rows > M.cols) - (M.rows < M.cols) for M in ran}
     assert shapes == {-1, 0, 1} and {0, 1} <= {M.nvars for M in ran}
     assert any(M.fs.f > 1 for M in ran)
+    # skew B(Y) of sizes 2 to 5 walk the single level C or levels 1 and C
+    assert {frozenset(_kernel_levels(M.fs.q, M.rows, True)[0])
+            for M in ran if M.skew} == {frozenset(s) for s in ({2}, {3}, {1, 4}, {1, 5})}
     for M in ran:
         assert _kernel_census(M, 1) == _point_census(M, 1), (M.rows, M.cols, M.nvars)
 
@@ -118,7 +122,10 @@ def test_kernel_census_independent_of_workers(fs, monkeypatch):
     coeffs = [[[fs.embed(r + 2 * c + v) for v in range(4)] for c in range(3)]
               for r in range(2)]
     M4 = form_matrix(fs, 2, 3, 4, coeffs)
-    for M in (A, B, M4):
+    rng = random.Random(5)
+    S4 = skew_form(fs, 4, 2, lambda: fs.from_int(rng.randrange(fs.q)))
+    assert set(_kernel_levels(fs.q, 4, True)[0]) == {1, 4}
+    for M in (A, B, M4, S4):
         want = _brute_force_distribution(M)
         for w in (1, 2, 3):
             assert _kernel_census(M, w) == want, (M.nvars, w)
@@ -136,8 +143,11 @@ def test_each_block_is_built_once(route, monkeypatch):
         return original(fs, n, piv, start, stop)
 
     monkeypatch.setattr(pgc.enumctr, "echelon_block", counted)
-    fs = make_field(5)
-    for M in build_commutator_matrices(free_table(2, 3, fs)):
+    fs, rng = make_field(5), random.Random(4)
+    # a skew 4 x 4 walks the 156 lines of F_5^4 (the 3 x 3 B(Y) of
+    # f(2,3) walks one subspace, F_5^3)
+    S4 = skew_form(fs, 4, 3, lambda: fs.from_int(rng.randrange(5)))
+    for M in (build_commutator_matrices(free_table(2, 3, fs))[0], S4):
         want = None
         for w in (1, 2, 3):
             built.clear()
@@ -180,15 +190,45 @@ def test_thread_pool_never_exceeds_the_cpus_or_the_blocks(monkeypatch):
     assert sizes == []
 
 
-def test_route_rule_on_benchmark_censuses():
-    def route(t, side):
-        M = build_commutator_matrices(t)["AB".index(side)]
-        return _kernel_route_cheaper(M.fs.q, M.nvars, M.rows, M.cols)
+def _plan(t, side):
+    M = build_commutator_matrices(t)["AB".index(side)]
+    levels = _census_plan(M.fs.q, M.nvars, M.rows, M.cols, M.skew)
+    return levels if levels is None else set(levels)
 
+
+def test_route_rule_on_benchmark_censuses():
     # 267 subspaces of F_11^3 against 177,156 monic points of F_11^6
-    assert route(boston_isaacs_table(2, 11), "A")
-    assert not route(free_table(2, 4, make_field(7)), "B")
-    assert not route(free_table(3, 3, make_field(5)), "B")
+    assert _plan(boston_isaacs_table(2, 11), "A") == {1, 2, 3}
+    # skew B(Y): rank is even, so S_0, S_C and the fewest low levels fix
+    # g; 2,801 lines and F_7^5 against 19,608 monic points of F_7^6
+    assert _plan(free_table(2, 4, make_field(7)), "B") == {1, 5}
+    assert _plan(free_table(3, 3, make_field(5)), "B") == {1, 2, 6}
+    # 8 x 8 in 12 variables: levels 1, 2, 6 and 8 would do 1.5e14 batch_rank
+    # work, the point census 1.2e12
+    assert _plan(free_table(2, 5, make_field(7)), "B") is None
+
+
+def test_route_rule_counts_a_fixed_cost_per_block():
+    # A census of a few matrices costs about its blocks: the one point
+    # of P^0(F_27) beats one subspace plus the exact solve, and 133 points
+    # beat the 2.4e8 subspaces of levels 1, 2 and 6 of F_11^6
+    assert _plan(heisenberg(make_field(3, 3)), "B") is None
+    assert _plan(boston_isaacs_table(2, 11), "B") is None
+    # 364 points in 6 blocks beat 27 subspaces in 7 blocks and the solve
+    assert _plan(boston_isaacs_table(1, 3), "A") is None
+    # the 2 x 1 A(X) of heis/GF(27): one subspace in one block against 28
+    # points in two blocks, and the kernel census measured faster
+    assert _plan(heisenberg(make_field(3, 3)), "A") == {1}
+
+
+def test_skew_census_walks_the_fewest_levels():
+    # the support of g is every other d; the levels are the cheapest that
+    # make the system square and invertible
+    for q in (2, 3, 7):
+        for C, levels in [(0, set()), (1, set()), (2, {2}), (3, {3}), (4, {1, 4}),
+                          (5, {1, 5}), (6, {1, 2, 6}), (8, {1, 2, 6, 8})]:
+            assert set(_kernel_levels(q, C, True)[0]) == levels, (q, C)
+        assert set(_kernel_levels(q, 5, False)[0]) == {1, 2, 3, 4, 5}
 
 
 def test_kernel_census_sums_exactly_past_int64(monkeypatch):

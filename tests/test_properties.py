@@ -27,7 +27,7 @@ from pgc.enumctr import _kernel_census, _point_census
 from pgc.liecore import smith_mod, span_mod
 from pgc.lazard import _mat_mul
 
-from conftest import change_basis, form_matrix
+from conftest import change_basis, form_matrix, skew_form
 from test_liecore import _generated, _identity, _matmul_mod
 
 N_BILINEAR = 400
@@ -40,9 +40,11 @@ N_SMITH_CLOSURE = 60
 N_EXTENSION_ORACLE = 30
 N_FREE_QUOTIENTS = 40
 N_KERNEL_CENSUS = 100
+N_SKEW_CENSUS = 100
 RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN + N_BCH_MATRIX
                       + N_STAR_ASSOC + N_CLASS2_ROUTES + N_SMITH_CLOSURE
-                      + N_EXTENSION_ORACLE + N_FREE_QUOTIENTS + N_KERNEL_CENSUS)
+                      + N_EXTENSION_ORACLE + N_FREE_QUOTIENTS + N_KERNEL_CENSUS
+                      + N_SKEW_CENSUS)
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -184,6 +186,26 @@ def _matrix_space(draw):
 @settings(max_examples=N_KERNEL_CENSUS, **_SETTINGS)
 @given(_matrix_space())
 def test_kernel_census_equals_point_census(M):
+    assert _kernel_census(M, 1) == _point_census(M, 1)
+
+
+@st.composite
+def _skew_space(draw):
+    """A C x C skew matrix of linear forms in n variables over a small
+    field, about half of its coefficients zero, with q^n <= 729. C = 6 is
+    drawn over GF(2) and GF(3) only, where levels 1, 2 and 6 rank at most
+    11,376 subspaces."""
+    size = draw(st.integers(0, 6))
+    fields = [(2, 1), (3, 1)] + [(2, 2), (5, 1), (3, 2)] * (size < 6)
+    fs = make_field(*draw(st.sampled_from(fields)))
+    n = draw(st.integers(0, 4).filter(lambda n: fs.q**n <= 729))
+    coeff = st.sampled_from([0] * fs.q + list(range(fs.q))).map(fs.from_int)
+    return skew_form(fs, size, n, lambda: draw(coeff))
+
+
+@settings(max_examples=N_SKEW_CENSUS, **_SETTINGS)
+@given(_skew_space())
+def test_skew_kernel_census_equals_point_census(M):
     assert _kernel_census(M, 1) == _point_census(M, 1)
 
 

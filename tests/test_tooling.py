@@ -35,7 +35,8 @@ def test_tracer_records_the_censuses_on_the_kernel_route(monkeypatch):
 
     t = pgc.boston_isaacs_table(2, 11)
     A, _ = pgc.build_commutator_matrices(t)
-    assert pgc.enumctr._kernel_route_cheaper(11, A.nvars, A.rows, A.cols)
+    levels = pgc.enumctr._census_plan(11, A.nvars, A.rows, A.cols, A.skew)
+    assert set(levels) == {1, 2, 3}
     tracer = Tracer()
     tracer.install()
     try:
