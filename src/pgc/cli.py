@@ -20,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 
 from .field import make_field, is_prime
 from .liecore import (
@@ -594,7 +595,9 @@ def _cmd_verify(args):
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: run() reuses it."""
     ap = argparse.ArgumentParser(
         prog="pgc",
         description="conjugacy classes and character degrees of finite "

@@ -33,13 +33,25 @@ class BudgetExceeded(RuntimeError):
 
 class LinearFormMatrix:
     """Matrix of linear forms over GF(q): M(x) = sum_v x_v codes[v], with
-    codes an (nvars, rows, cols) int64 array of fs.to_int codes."""
+    codes an (nvars, rows, cols) int64 array of fs.to_int codes. skew=True
+    claims every M(x) alternating, which the censuses rely on; NotSkew is
+    raised unless each codes[v] is square with a zero diagonal and
+    codes[v]^T = -codes[v]."""
 
     def __init__(self, fs, codes, skew=False):
         self.fs = fs
         self.codes = codes
         self.nvars, self.rows, self.cols = codes.shape
         self.skew = skew
+        if skew:
+            if self.rows != self.cols:
+                raise NotSkew(f"skew matrix of shape {self.rows} x {self.cols}")
+            if np.diagonal(codes, axis1=1, axis2=2).any():
+                raise NotSkew("nonzero diagonal entry")
+            p = fs.p
+            neg = sum((-(codes // p**k) % p) * p**k for k in range(fs.f))
+            if not np.array_equal(codes.transpose(0, 2, 1), neg):
+                raise NotSkew("codes[v] + codes[v]^T is not zero")
 
     @cached_property
     def _terms(self):

@@ -7,8 +7,10 @@ is deliberately independent of the counting machinery: by the orbit method
 both censuses are orbit counts of the one group generated by the Ad_g on
 the flat additive group (Z/n)^N. Conjugacy classes are the orbits of the
 Ad_g on g; characters are the orbits of their transposes on the dual
-(orbit size q^{2i} <-> degree q^i). Each generator becomes one permutation
-of the element indices, and the orbits close by min-label propagation.
+(orbit size q^{2i} <-> degree q^i). The g need only run over generators
+of G modulo its Frattini subgroup Phi(G), which corresponds to p g + g'.
+Each Ad_g is computed once per table and becomes one permutation of the
+element indices, and the orbits close by min-label propagation.
 
 Group elements are plain coordinate tuples over the table's ring.
 """
@@ -314,17 +316,57 @@ def _flat_model(table):
     return R.p, h * R.f, R.f
 
 
+def _flat_rows(R, vectors, f):
+    """The flat digits of t^s v for each v in vectors and s < f in turn,
+    so a GF(q)-linear map's rows become its rows on the flat basis
+    t^s e_i (l = i f + s); the residues of each v when f is None."""
+    if f is None:
+        return [list(v) for v in vectors]
+    scalars = [R.from_int(R.p**s) for s in range(f)]
+    return [[d for c in v for d in R.mul(t, c)] for v in vectors for t in scalars]
+
+
+def _pivot_columns(rows, p):
+    """Pivot columns of an echelon form of `rows` over F_p, left to right;
+    the unit vectors at the other columns span a complement of their row
+    space."""
+    rows = [[a % p for a in r] for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in rows if r[col]), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        inv = pow(piv[col], -1, p)
+        rows = [[(a - r[col] * inv * b) % p for a, b in zip(r, piv)]
+                if r[col] else r for r in rows]
+        pivots.append(col)
+    return pivots
+
+
 def _generators(table):
-    """Coordinate generators of (g, *): the basis vectors, plus their
-    subfield-scalar multiples when f > 1 (star powers only reach the
-    prime-subfield span of a vector)."""
+    """Generators of (g, *) modulo its Frattini subgroup: the flat basis
+    vectors t^s e_i at the non-pivot columns of an F_p echelon of the flat
+    codes of the t^s [e_i, e_j] mod p, which span (g' + p g)/p g in
+    g/p g. For p > c the Lazard correspondence makes the normal subgroups
+    N the ideals I on the same set, and G/N is elementary abelian exactly
+    when g/I is abelian with p (g/I) = 0 (x^p = p x), that is when I
+    contains g' + p g; so Phi(G) = G^p G', the least such N, is g' + p g.
+    The chosen vectors span a complement of (g' + p g)/p g, so they
+    generate G by the Burnside basis theorem; Ad is a homomorphism, so
+    their Ad_g generate Ad(G), and the transposes generate the transposed
+    group."""
     R, h = table.ring, table.h
-    gens = [table.basis_vector(i) for i in range(h)]
-    if is_field(R) and R.f > 1:
-        for s in range(1, R.f):
-            t_s = R.from_int(R.p**s)
-            for i in range(h):
-                gens.append(tuple(R.mul(t_s, c) for c in table.basis_vector(i)))
+    _, N, f = _flat_model(table)
+    brackets = [table.bracket(table.basis_vector(i), table.basis_vector(j))
+                for i in range(h) for j in range(i + 1, h)]
+    pivots = set(_pivot_columns(_flat_rows(R, brackets, f), R.p))
+    gens = []
+    for l in range(N):
+        if l not in pivots:
+            i, s = divmod(l, f or 1)
+            c = R.one() if f is None else R.from_int(R.p**s)
+            gens.append(tuple(c if j == i else R.zero() for j in range(h)))
     return gens
 
 
@@ -336,43 +378,74 @@ def _ad_rows(table, g, series=None):
             for l in range(table.h)]
 
 
-def _flat_matrix(table, rows, f):
-    """Ad_g over Z/n on the flat model. When f > 1, flat basis vector
-    l = i f + s is t^s e_i, and Ad_g is GF(q)-linear, so its row is t^s
-    times row i, split into base-p digits."""
-    if f is None:
-        return np.array(rows, dtype=np.int64)
-    R = table.ring
-    scalars = [R.from_int(R.p**s) for s in range(f)]
-    return np.array([[d for c in row for d in R.mul(t, c)]
-                     for row in rows for t in scalars], dtype=np.int64)
+def _flat_ads(table, series=None):
+    """Ad_g over Z/n on the flat model for each g in _generators(table),
+    computed once per table and series and cached on the table, as
+    _prepare caches the series. Ad_g is GF(q)-linear, so its row at t^s e_i
+    is t^s times row i."""
+    cached = table.__dict__.get("_ad_flat")
+    if cached is not None and cached[0] is series:
+        return cached[1]
+    f = _flat_model(table)[2]
+    mats = [np.array(_flat_rows(table.ring, _ad_rows(table, g, series), f),
+                     dtype=np.int64)
+            for g in _generators(table)]
+    for A in mats:
+        A.setflags(write=False)
+    table._ad_flat = (series, mats)
+    return mats
+
+
+def _permutation(A, n, N):
+    """The index permutation of x -> x A on (Z/n)^N, x coded as the
+    mixed-radix index sum_l x_l n^l. The digits split into a low and a high
+    half; the images of every low and every high digit vector come from two
+    small matmuls, and an element's image is the digit-wise sum of its two
+    halves' images less n where it reaches n, in the least unsigned dtype
+    that holds 2n - 2. Work runs over blocks of high halves, so memory stays
+    at a few arrays of group order."""
+    lo = N - N // 2
+    dt = np.min_scalar_type(2 * n - 2)
+
+    def images(block):
+        """Row l: digit l of the image of each digit vector of the block."""
+        k = len(block)
+        digits = (np.arange(n**k, dtype=np.int64)[:, None]
+                  // n ** np.arange(k, dtype=np.int64) % n)
+        return np.ascontiguousarray((digits @ block % n).T, dtype=dt)
+
+    low, high = images(A[:lo]), images(A[lo:])
+    size = low.shape[1]
+    perm = np.empty(n**N, dtype=np.int64)
+    step = max(1, _CHUNK // size)
+    for start in range(0, high.shape[1], step):
+        x = high[:, start:start + step, None] + low[:, None, :]
+        x = np.minimum(x, x - n)
+        code = perm[start * size:start * size + x[0].size].reshape(x.shape[1:])
+        code[...] = x[N - 1]
+        for l in range(N - 2, -1, -1):
+            code *= n
+            code += x[l]
+    return perm
 
 
 def _orbit_sizes(table, budget, transpose, series=None):
     """{orbit size: #orbits} of the group generated by the Ad_g (their
-    transposes when `transpose`) on (Z/n)^N. Each generator becomes one
-    permutation P of the indices. Labels fall to the least index of their
-    orbit under label = min(label, label[P]), and each round squares every
-    P, so one round covers twice the stretch of a cycle. Ad_g has p-power
-    order, odd unless Ad_g = 1 (p = 2 forces class 1), so P^2 generates
-    the same cyclic group as P, and P^{-1} is a power of P: at the fixed
-    point the labels are constant on the orbits."""
-    n, N, f = _flat_model(table)
+    transposes when `transpose`) on (Z/n)^N, for g running over generators
+    of G modulo its Frattini subgroup (_generators). Each generator becomes
+    one permutation P of the indices. Labels fall to the least index of
+    their orbit under label = min(label, label[P]), and each round squares
+    every P, so one round covers twice the stretch of a cycle. Ad_g has
+    p-power order, odd unless Ad_g = 1 (p = 2 forces class 1), so P^2
+    generates the same cyclic group as P, and P^{-1} is a power of P: at
+    the fixed point the labels are constant on the orbits."""
+    n, N, _ = _flat_model(table)
     order = n**N
     if order > budget:
         what = "|dual|" if transpose else "|G|"
         raise BudgetExceeded(f"{what} = {order} exceeds oracle budget {budget}")
-    mats = [_flat_matrix(table, _ad_rows(table, g, series), f)
-            for g in _generators(table)]
-    if transpose:
-        mats = [A.T for A in mats]
-    radix = n ** np.arange(N, dtype=np.int64)
-    perms = np.empty((len(mats), order), dtype=np.int64)
-    for start in range(0, order, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, order), dtype=np.int64)
-        digits = idx[:, None] // radix % n
-        for P, A in zip(perms, mats):
-            P[start:start + len(idx)] = digits @ A % n @ radix
+    perms = [_permutation(A.T if transpose else A, n, N)
+             for A in _flat_ads(table, series)]
     label = np.arange(order, dtype=np.int64)
     while True:
         new = label

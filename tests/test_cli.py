@@ -14,10 +14,12 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import pgc.catalog
 import pgc.cli
+import pgc.commat
 import pgc.enumctr
 import pgc.lazard
 import pgc.liecore
@@ -442,6 +444,24 @@ def test_oracle_orbit_size_failures_exit_1(tmp_path, capsys, monkeypatch,
     assert run(["oracle", f, flag]) == 1
     out, err = capsys.readouterr()
     assert out == "" and message in err
+
+
+def test_a_non_skew_b_exits_2(tmp_path, capsys, monkeypatch):
+    # B(Y) is skew by construction from a valid table; a symmetric structure
+    # tensor reaches the skew check in LinearFormMatrix, an input error
+    tensor = pgc.commat.structure_tensor
+    monkeypatch.setattr(pgc.commat, "structure_tensor",
+                        lambda t: np.maximum(tensor(t), tensor(t).transpose(1, 0, 2)))
+    assert run(["vectors", _write(tmp_path, HEIS5)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "is not zero" in err
+
+
+def test_parser_is_built_once(capsys):
+    assert pgc.cli._build_parser() is pgc.cli._build_parser()
+    assert run(["--help"]) == 0 and run(["field", "-p", "4"]) == 2
+    assert run(["nonsense"]) == 2 and run(["field", "-p", "3"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pgc")
 
 
 # ---------------------------------------------------------------------------

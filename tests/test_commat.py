@@ -175,6 +175,36 @@ def test_pfaffian_rejects_non_skew():
         pfaffian(((0, 2), (2, 0)), fs)
 
 
+def test_skew_flag_is_checked():
+    from pgc import LinearFormMatrix
+    fs = make_field(5)
+    codes = np.random.default_rng(7).integers(0, 5, (6, 4, 4))
+    with pytest.raises(ValueError):
+        LinearFormMatrix(fs, codes, skew=True)
+    LinearFormMatrix(fs, codes)  # a plain matrix of forms is not checked
+    with pytest.raises(NotSkew, match="shape 4 x 3"):
+        LinearFormMatrix(fs, codes[:, :, :3], skew=True)
+    alt = codes - codes.transpose(0, 2, 1)
+    LinearFormMatrix(fs, alt % 5, skew=True)
+    sym = (codes + codes.transpose(0, 2, 1)) % 5
+    sym[:, range(4), range(4)] = 0
+    with pytest.raises(NotSkew, match="not zero"):
+        LinearFormMatrix(fs, sym, skew=True)
+    with pytest.raises(NotSkew, match="diagonal"):
+        LinearFormMatrix(fs, alt % 5 + np.eye(4, dtype=np.int64), skew=True)
+    # over GF(9) negation is digit by digit; over GF(2) -1 = 1, so only the
+    # diagonal separates alternating from symmetric
+    gf9 = make_field(3, 2)
+    x = gf9.from_int(5)
+    up = np.array([[[0, gf9.to_int(x)], [gf9.to_int(gf9.neg(x)), 0]]])
+    LinearFormMatrix(gf9, up, skew=True)
+    with pytest.raises(NotSkew):
+        LinearFormMatrix(gf9, np.array([[[0, 5], [5, 0]]]), skew=True)
+    LinearFormMatrix(make_field(2), np.array([[[0, 1], [1, 0]]]), skew=True)
+    with pytest.raises(NotSkew):
+        LinearFormMatrix(make_field(2), np.array([[[1, 1], [1, 0]]]), skew=True)
+
+
 def test_pfaffian_odd_size_is_zero():
     fs = make_field(5)
     assert pfaffian(((0, 1, 2), (4, 0, 3), (3, 2, 0)), fs) == 0

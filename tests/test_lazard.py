@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pgc import (
@@ -11,11 +12,13 @@ from pgc import (
     bch, star, star_inverse,
     conjugacy_census, coadjoint_census, centralizer_order,
     vectors_theoremB, vectors_dual,
-    free_table, ClassTooLarge, BudgetExceeded,
+    free_table, boston_isaacs_table, quadric_table, ClassTooLarge, BudgetExceeded,
     matrix_exp, matrix_log, bch_matrix_sum, NonPowerClass, NonSquareOrbit,
 )
 import pgc.lazard
-from conftest import heisenberg
+from pgc.lazard import _flat_model, _generators, _orbit_sizes, _permutation
+from pgc.liecore import is_field
+from conftest import field_pool, heisenberg, modular_pool
 
 
 def test_bch_low_degrees_exact():
@@ -174,3 +177,95 @@ def test_oracle_does_not_import_the_counting_kernels():
     assert not banned & names
     values = [id(v) for v in vars(pgc.lazard).values()]
     assert not {id(batch_rank), id(smith_mod), id(vectors_dual)} & set(values)
+
+
+def _every_flat_basis_vector(t):
+    """The generators the oracle used before the Frattini reduction: every
+    t^s e_i, in flat order."""
+    R = t.ring
+    scalars = ([R.from_int(R.p**s) for s in range(R.f)] if is_field(R)
+               else [R.one()])
+    return [tuple(R.mul(s, c) for c in t.basis_vector(i))
+            for i in range(t.h) for s in scalars]
+
+
+def test_reduced_oracle_matches_every_generator(monkeypatch):
+    # generators of G/Phi(G) only against every flat basis vector, on the
+    # pools' free, non-free quotient and fattened Heisenberg tables; only
+    # g_alpha(3 mod 7)/GF(7), with 7^9 elements, is beyond the budget
+    budget = 2 * 10**6
+
+    def tables():
+        return [t for pool in (field_pool, modular_pool) for t in pool()
+                if _flat_model(t)[0] ** _flat_model(t)[1] <= budget]
+
+    reduced = []
+    for t in tables():
+        assert len(_generators(t)) < len(_every_flat_basis_vector(t)), t.name
+        reduced.append((t.name, [_orbit_sizes(t, budget, tr) for tr in (False, True)]))
+    assert len(reduced) == len(field_pool()) + len(modular_pool()) - 1
+    monkeypatch.setattr(pgc.lazard, "_generators", _every_flat_basis_vector)
+    full = [(t.name, [_orbit_sizes(t, budget, tr) for tr in (False, True)])
+            for t in tables()]
+    assert full == reduced
+
+
+@pytest.mark.parametrize("table, count", [
+    (free_table(3, 2, make_field(3, 2)), 6),
+    (heisenberg(ModRing(3, 3)), 2),
+    (free_table(2, 3, make_field(7)), 2),
+    (boston_isaacs_table(1, 3), 6),
+    (quadric_table(3), 4),
+])
+def test_generator_counts(table, count):
+    assert len(_generators(table)) == count
+
+
+def _reference_permutation(A, n, N):
+    radix = n ** np.arange(N, dtype=np.int64)
+    out = []
+    for start in range(0, n**N, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), n**N), dtype=np.int64)
+        out.append(idx[:, None] // radix % n @ A % n @ radix)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n, N", [
+    # 127 and 131 sit on either side of the uint8/uint16 boundary for
+    # 2n - 2; orders stay within 2.1e6
+    (n, N) for n in (2, 3, 125, 127, 131, 169) for N in (1, 2, 3, 5)
+    if n**N <= 2_100_000])
+def test_permutation_builder_matches_the_matmul(monkeypatch, n, N):
+    A = np.random.default_rng(n * 10 + N).integers(0, n, (N, N))
+    want = _reference_permutation(A, n, N)
+    assert np.array_equal(_permutation(A, n, N), want)
+    monkeypatch.setattr(pgc.lazard, "_CHUNK", 7)  # many blocks, a short last one
+    assert np.array_equal(_permutation(A, n, N), want)
+
+
+def test_permutation_builder_on_a_line_over_z_5_8():
+    t = LieRing(ModRing(5, 8), 1, {}, "line")
+    n, N, _ = _flat_model(t)
+    assert (n, N) == (5**8, 1)  # 2n - 2 needs uint32
+    A = np.array([[123_457]])
+    assert np.array_equal(_permutation(A, n, N), _reference_permutation(A, n, N))
+    assert dict(conjugacy_census(t).items()) == {0: 5**8}
+    assert dict(coadjoint_census(t).items()) == {0: 5**8}
+
+
+def test_ad_is_computed_once_per_generator_and_series(monkeypatch):
+    calls = []
+    ad_rows = pgc.lazard._ad_rows
+
+    def counted(*args):
+        calls.append(args[1])
+        return ad_rows(*args)
+
+    monkeypatch.setattr(pgc.lazard, "_ad_rows", counted)
+    t = quadric_table(3)
+    cc, ch = conjugacy_census(t), coadjoint_census(t)
+    assert (cc, ch) == vectors_theoremB(t)
+    assert sorted(calls) == sorted(_generators(t))
+    # another series is another cache key
+    assert conjugacy_census(t, series=bch(3)) == cc
+    assert len(calls) == 2 * len(_generators(t))
