@@ -112,7 +112,7 @@ class PfaffianReport:
     line_condition: bool
 
 
-def pfaffian_case_vectors(table, q=None, budget=DEFAULT_BUDGET):
+def pfaffian_case_vectors(table, budget=DEFAULT_BUDGET):
     """(cc, ch, k, report) for a class-2 table whose projective B-rank set
     is {a-2, a} and whose Pfaffian hypersurface contains no line. n counts
     the projective points of rank a-2; the three nonzero entries of each
@@ -120,10 +120,7 @@ def pfaffian_case_vectors(table, q=None, budget=DEFAULT_BUDGET):
     fs = table.ring
     if not is_field(fs):
         raise ValueError("pfaffian_case_vectors requires a field table")
-    if q is not None and q != fs.q:
-        raise ValueError(f"q = {q} does not match the table's field {fs.q}")
-    q = fs.q
-    f, h = fs.f, table.h
+    q, f, h = fs.q, fs.f, table.h
     A, B = build_commutator_matrices(table)
     a, b = A.nvars, B.nvars
     check_points(fs, b, budget)
@@ -153,7 +150,7 @@ def pfaffian_case_vectors(table, q=None, budget=DEFAULT_BUDGET):
     }
     k = (q ** (h - a) + q ** (h - b)
          + q ** (h - a - b) * (n * (q**2 - 1) * (q - 1) - 1))
-    return (CountVector(cc, q=q, p=fs.p), CountVector(ch, q=q, p=fs.p),
+    return (CountVector(cc, p=fs.p), CountVector(ch, p=fs.p),
             k, report)
 
 
@@ -173,7 +170,7 @@ def _quadric_expected(q):
     cc = {0: q**4, 2: 2 * (q**2 - 1) * q**2, 3: q * (q**2 - 1) ** 2}
     ch = {0: q**4, 1: q**2 * (q - 1) * (q + 1) ** 2,
           2: q**4 - 1 - (q + 1) ** 2 * (q - 1)}
-    return {"cc": CountVector(cc, q=q), "ch": CountVector(ch, q=q),
+    return {"cc": CountVector(cc), "ch": CountVector(ch),
             "k": sum(cc.values())}
 
 

@@ -98,8 +98,7 @@ def _parse_coeff(tok, ring, line):
             raise BadCoefficient(
                 f"line {line}: tuple {tok!r} has {len(digits)} entries, "
                 f"field degree is {ring.f}")
-        digits += [0] * (ring.f - len(digits))
-        return tuple(d % ring.p for d in digits)
+        return tuple(digits)
     try:
         return int(tok)
     except ValueError:
@@ -285,15 +284,7 @@ def _cmd_field(args):
     fs = make_field(args.p, args.f)
     print(f"GF({fs.q})" + (f" = GF({fs.p}^{fs.f})" if fs.f > 1 else ""))
     if fs.f > 1:
-        terms = []
-        for d in range(fs.f, -1, -1):
-            c = fs.modulus[d]
-            if c == 0:
-                continue
-            mono = "1" if d == 0 else ("x" if d == 1 else f"x^{d}")
-            terms.append(mono if (c == 1 and d > 0) else
-                         (str(c) if d == 0 else f"{c} {mono}"))
-        print("modulus " + " + ".join(terms))
+        print("modulus " + _poly_str(fs.modulus, "x"))
     print(f"elements {fs.q}")
     return 0
 
@@ -412,10 +403,9 @@ def _cmd_catalog(args):
     elif args.name == "quadric":
         params = {"q": _require(args.q, "-q")}
     elif args.name == "isaacs_cd":
-        raw = _require(args.I, "-I")
+        raw, p = _require(args.I, "-I"), _require(args.p, "-p")
         try:
-            params = {"I": [int(s) for s in raw.split(",")],
-                      "p": _require(args.p, "-p")}
+            params = {"I": [int(s) for s in raw.split(",")], "p": p}
         except ValueError:
             raise BadInput(f"bad index set {raw!r}; expected e.g. 1,3")
     elif args.name == "fm":
@@ -447,14 +437,16 @@ def _require(val, flag):
     return val
 
 
-def _poly_str(poly):
+def _poly_str(coeffs, var):
+    """The polynomial with the given coefficients, constant term first, in
+    the variable var, highest degree first: "q^3 + q^2 - 1"."""
     terms = []
-    for d in range(poly.degree(), -1, -1):
-        c = poly.coeffs[d] if d < len(poly.coeffs) else 0
+    for d in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[d]
         if c == 0:
             continue
         mag = abs(c)
-        mono = "1" if d == 0 else ("q" if d == 1 else f"q^{d}")
+        mono = "1" if d == 0 else (var if d == 1 else f"{var}^{d}")
         body = mono if (mag == 1 and d > 0) else (
             str(mag) if d == 0 else f"{mag} {mono}")
         if not terms:
@@ -475,7 +467,7 @@ def _cmd_fit(args):
     if args.target == "k":
         samples = [(q, class_number_closed(r, c, q)) for q in nodes]
         poly = poly_fit(samples, integral=True)
-        print(f"k = {_poly_str(poly)}")
+        print(f"k = {_poly_str(poly.coeffs, 'q')}")
         return 0
     if args.target == "cc":
         vecs = {q: class_vector_closed(r, c, q) for q in nodes}
@@ -487,7 +479,7 @@ def _cmd_fit(args):
     for i in keys:
         samples = [(q, vecs[q].entries.get(i, 0)) for q in nodes]
         poly = poly_fit(samples, integral=True)
-        print(f"{label}[{i}] = {_poly_str(poly)}")
+        print(f"{label}[{i}] = {_poly_str(poly.coeffs, 'q')}")
     return 0
 
 
@@ -520,7 +512,7 @@ def _closed_path(t, budget):
     if _QUADRIC_NAME.fullmatch(t.name):
         return "closed", quadric
     if _BI_NAME.fullmatch(t.name):
-        return "formula", lambda: pfaffian_case_vectors(t, None, budget)[:3]
+        return "formula", lambda: pfaffian_case_vectors(t, budget)[:3]
     return None
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .liecore import ModRing, adapt_basis, is_field
+from .liecore import ModRing, adapt_basis, echelon, is_field, per_table
 
 
 class NotSkew(ValueError):
@@ -78,15 +78,18 @@ class LinearFormMatrix:
         return "\n".join("[" + ", ".join(map(entry, row)) + "]" for row in self._terms)
 
 
+@per_table
 def structure_tensor(table):
-    """T[i, j, k] = lambda_ij^k, antisymmetric in i, j: an (h, h, h) int64
-    array of fs.to_int codes over GF(q), of residues mod p^e over Z/p^e."""
+    """T[i, j, k] = lambda_ij^k, antisymmetric in i, j: a read-only
+    (h, h, h) int64 array of fs.to_int codes over GF(q), of residues mod p^e
+    over Z/p^e."""
     ring, h = table.ring, table.h
     code = ring.to_int if is_field(ring) else (lambda c: c % ring.m)
     T = np.zeros((h, h, h), dtype=np.int64)
     for (i, j), row in table.lam.items():
         for k, c in row.items():
             T[i, j, k], T[j, i, k] = code(c), code(ring.neg(c))
+    T.setflags(write=False)
     return T
 
 
@@ -102,32 +105,9 @@ def build_commutator_matrices(table):
 
 
 def rank(matrix, fs):
-    """Row rank by Gaussian elimination; matrix is a list of row sequences."""
-    rows = [list(r) for r in matrix]
-    if not rows or not rows[0]:
-        return 0
-    ncols = len(rows[0])
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rk, len(rows)):
-            if not fs.is_zero(rows[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rk], rows[piv] = rows[piv], rows[rk]
-        inv = fs.inv(rows[rk][col])
-        prow = [fs.mul(inv, x) for x in rows[rk]]
-        rows[rk] = prow
-        for r in range(len(rows)):
-            if r != rk and not fs.is_zero(rows[r][col]):
-                f = rows[r][col]
-                rows[r] = [fs.sub(x, fs.mul(f, y)) for x, y in zip(rows[r], prow)]
-        rk += 1
-        if rk == len(rows):
-            break
-    return rk
+    """Row rank by Gaussian elimination; matrix is a list of row sequences.
+    The reference batch_rank is tested against."""
+    return len(echelon(matrix, fs))
 
 
 _STEP = 1 << 15  # points per block of the projective census and its lines

@@ -65,12 +65,11 @@ class NonIntegralCoefficient(ValueError):
 
 
 class CountVector:
-    """Map exponent -> count. q is the relevant p-power for f-grouped
-    vectors (1 for dual-path outputs keyed directly by exponents of p)."""
+    """Map exponent -> count; p, when given, is the prime the exponents
+    refer to (see mass)."""
 
-    def __init__(self, entries, q=1, p=None):
+    def __init__(self, entries, p=None):
         self.entries = {int(i): int(n) for i, n in entries.items() if n}
-        self.q = q
         self.p = p
 
     def __getitem__(self, i):
@@ -250,7 +249,7 @@ def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
 def rank_distribution_A(A, budget=DEFAULT_BUDGET, workers=1):
     """mu[i] = #{x in F_q^a : rk A(x) = i}."""
     mu = rank_distribution(A, budget, workers)
-    return CountVector(mu, q=A.fs.q, p=A.fs.p)
+    return CountVector(mu, p=A.fs.p)
 
 
 def rank_distribution_B(B, budget=DEFAULT_BUDGET, workers=1):
@@ -261,7 +260,7 @@ def rank_distribution_B(B, budget=DEFAULT_BUDGET, workers=1):
         if r % 2:
             raise InexactDivision(f"odd rank {r} for a skew matrix")
         nu[r // 2] = n
-    return CountVector(nu, q=B.fs.q, p=B.fs.p)
+    return CountVector(nu, p=B.fs.p)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +297,7 @@ def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     ch = {}
     for i, n in nu.items():
         ch[i * f] = _exact_div(n * q ** (h - b), q ** (2 * i))
-    return (CountVector(cc, q=q, p=fs.p), CountVector(ch, q=q, p=fs.p))
+    return (CountVector(cc, p=fs.p), CountVector(ch, p=fs.p))
 
 
 def s_size_from_mu(mu, b, q):
@@ -407,8 +406,8 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     goverd = _exact_div(gorder, dsub.order())
     ch = {l // 2: _exact_div(n * goverd, p**l) for l, n in enumerate(lengths) if n}
 
-    ccv = CountVector(cc, q=1, p=p)
-    chv = CountVector(ch, q=1, p=p)
+    ccv = CountVector(cc, p=p)
+    chv = CountVector(ch, p=p)
     if ccv.total() != chv.total():
         raise InexactDivision("class and character totals disagree")
     return ccv, chv

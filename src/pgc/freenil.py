@@ -108,19 +108,14 @@ class HallBasis:
         return self.elements[i].display
 
 
-def _default_names(r):
-    return ("y", "x") if r == 2 else tuple(f"x{i+1}" for i in range(r))
-
-
-def hall_basis(r, c, names=None):
+def hall_basis(r, c):
     """Hall basis of f_{r,c}: basic commutators [u, v] with u > v and, for
     composite u = [u1, u2], u2 <= v. Order refines weight; within a layer,
     lexicographic by (left-parent index, right-parent index). Generators
     come first, e_1 < ... < e_r."""
     if r < 2 or c < 1:
         raise ValueError(f"need r >= 2 generators and class >= 1, got r = {r}, c = {c}")
-    if names is None:
-        names = _default_names(r)
+    names = ("y", "x") if r == 2 else tuple(f"x{i+1}" for i in range(r))
     elements = []
     layers = []
     pair_index = {}
@@ -190,13 +185,13 @@ def collect(u, v, basis):
     return result
 
 
-def free_table(r, c, ring, names=None):
+def free_table(r, c, ring):
     """Structure constants of f_{r,c} over the given coefficient ring.
     Collection happens over Z (integer coefficients, no denominators), so
     reduction is valid for any p, even p <= c; rank censuses on such tables
     are still meaningful polynomial counts although no group of class c
     exists at that characteristic."""
-    basis = hall_basis(r, c, names)
+    basis = hall_basis(r, c)
     h = basis.dimension
     brackets = {}
     for i in range(h):
@@ -227,7 +222,7 @@ def class_vector_closed(r, c, q):
         assert e >= 0
         n = (q ** witt(r, i) - 1) * q**e
         entries[j] = entries.get(j, 0) + n
-    return CountVector(entries, q=q)
+    return CountVector(entries)
 
 
 def class_number_closed(r, c, q):
@@ -256,7 +251,7 @@ def char_vector_class2(r, q):
             den *= q ** (2 * (i - j)) - 1
         nu = _exact_div(num, den)
         entries[i] = nu * q ** (r - 2 * i)
-    return CountVector(entries, q=q)
+    return CountVector(entries)
 
 
 def char_count_degree_q(r, c, q):
@@ -300,7 +295,7 @@ def fixture_vectors(r, c, q):
     char > c carries the group interpretation."""
     if (r, c) not in _FIXTURES:
         raise UnknownFixture((r, c))
-    return CountVector(_FIXTURES[(r, c)](q), q=q)
+    return CountVector(_FIXTURES[(r, c)](q))
 
 
 def char_vector_closed(r, c, q):

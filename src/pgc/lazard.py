@@ -9,8 +9,9 @@ the flat additive group (Z/n)^N. Conjugacy classes are the orbits of the
 Ad_g on g; characters are the orbits of their transposes on the dual
 (orbit size q^{2i} <-> degree q^i). The g need only run over generators
 of G modulo its Frattini subgroup Phi(G), which corresponds to p g + g'.
-Each Ad_g is computed once per table and becomes one permutation of the
-element indices, and the orbits close by min-label propagation.
+The reduced series and the Ad_g are computed once per table (per_table),
+each Ad_g becomes one permutation of the element indices, and the orbits
+close by min-label propagation.
 
 Group elements are plain coordinate tuples over the table's ring.
 """
@@ -24,7 +25,7 @@ from math import factorial
 
 import numpy as np
 
-from .liecore import ModRing, is_field, nilpotency_class
+from .liecore import ModRing, nilpotency_class, per_table
 from .commat import BudgetExceeded
 from .enumctr import ClassTooLarge, CountVector
 from .freenil import hall_basis
@@ -236,23 +237,15 @@ def bch_matrix_sum(series, M, N):
 # the group law on a table
 
 
-def _prepare(table, series=None):
-    """(class, [(hall index, ring coefficient)], basis) with coefficients
-    reduced into the table's ring; cached on the table."""
-    cached = table.__dict__.get("_star_prep")
-    if cached is not None and (series is None or series is cached[3]):
-        return cached[:3]
-    c = table.__dict__.get("_nilclass")
-    if c is None:
-        c = nilpotency_class(table)
-        table._nilclass = c
+@per_table
+def _prepare(table):
+    """([(hall index, ring coefficient)], Hall basis) of bch(class), with
+    coefficients reduced into the table's ring."""
+    c = nilpotency_class(table)
     p = table.ring.p
     if c >= p:
         raise ClassTooLarge(f"nilpotency class {c} >= p = {p}")
-    if series is None:
-        series = bch(c)
-    if series.c < c:
-        raise ValueError(f"series truncated at {series.c} < class {c}")
+    series = bch(c)
     R = table.ring
     reduced = []
     for deg in range(1, c + 1):
@@ -262,13 +255,12 @@ def _prepare(table, series=None):
             coeff = R.mul(R.embed(fr.numerator), R.inv(R.embed(fr.denominator)))
             if not R.is_zero(coeff):
                 reduced.append((idx, coeff))
-    table._star_prep = (c, reduced, series.basis, series)
-    return c, reduced, series.basis
+    return reduced, series.basis
 
 
-def star(x, y, table, series=None):
+def star(x, y, table):
     """The group product in Lie-ring coordinates."""
-    _, reduced, basis = _prepare(table, series)
+    reduced, basis = _prepare(table)
     R, h = table.ring, table.h
     memo = {1: tuple(x), 0: tuple(y)}
 
@@ -370,29 +362,23 @@ def _generators(table):
     return gens
 
 
-def _ad_rows(table, g, series=None):
+def _ad_rows(table, g):
     """Row matrix of Ad_g = exp(ad_g): row l is g * e_l * g^{-1}."""
     ginv = star_inverse(g, table)
-    return [star(star(g, table.basis_vector(l), table, series), ginv, table,
-                 series)
+    return [star(star(g, table.basis_vector(l), table), ginv, table)
             for l in range(table.h)]
 
 
-def _flat_ads(table, series=None):
-    """Ad_g over Z/n on the flat model for each g in _generators(table),
-    computed once per table and series and cached on the table, as
-    _prepare caches the series. Ad_g is GF(q)-linear, so its row at t^s e_i
-    is t^s times row i."""
-    cached = table.__dict__.get("_ad_flat")
-    if cached is not None and cached[0] is series:
-        return cached[1]
+@per_table
+def _flat_ads(table):
+    """Read-only Ad_g over Z/n on the flat model for each g in
+    _generators(table). Ad_g is GF(q)-linear, so its row at t^s e_i is t^s
+    times row i."""
     f = _flat_model(table)[2]
-    mats = [np.array(_flat_rows(table.ring, _ad_rows(table, g, series), f),
-                     dtype=np.int64)
+    mats = [np.array(_flat_rows(table.ring, _ad_rows(table, g), f), dtype=np.int64)
             for g in _generators(table)]
     for A in mats:
         A.setflags(write=False)
-    table._ad_flat = (series, mats)
     return mats
 
 
@@ -429,7 +415,7 @@ def _permutation(A, n, N):
     return perm
 
 
-def _orbit_sizes(table, budget, transpose, series=None):
+def _orbit_sizes(table, budget, transpose):
     """{orbit size: #orbits} of the group generated by the Ad_g (their
     transposes when `transpose`) on (Z/n)^N, for g running over generators
     of G modulo its Frattini subgroup (_generators). Each generator becomes
@@ -445,7 +431,7 @@ def _orbit_sizes(table, budget, transpose, series=None):
         what = "|dual|" if transpose else "|G|"
         raise BudgetExceeded(f"{what} = {order} exceeds oracle budget {budget}")
     perms = [_permutation(A.T if transpose else A, n, N)
-             for A in _flat_ads(table, series)]
+             for A in _flat_ads(table)]
     label = np.arange(order, dtype=np.int64)
     while True:
         new = label
@@ -469,39 +455,39 @@ def _p_power_exponent(n, p):
     return i if n == 1 else None
 
 
-def conjugacy_census(table, budget=DEFAULT_ORACLE_BUDGET, series=None):
+def conjugacy_census(table, budget=DEFAULT_ORACLE_BUDGET):
     """cc from the conjugation orbits on the full element set. Conjugation
     by a fixed g is the linear map Ad_g; generator closure suffices because
     Ad_g has p-power order."""
     R = table.ring
     cc = {}
-    for size, count in _orbit_sizes(table, budget, False, series).items():
+    for size, count in _orbit_sizes(table, budget, False).items():
         i = _p_power_exponent(size, R.p)
         if i is None:
             raise NonPowerClass(f"class size {size}")
         cc[i] = count
-    return CountVector(cc, q=R.q if is_field(R) else 1, p=R.p)
+    return CountVector(cc, p=R.p)
 
 
-def coadjoint_census(table, budget=DEFAULT_ORACLE_BUDGET, series=None):
+def coadjoint_census(table, budget=DEFAULT_ORACLE_BUDGET):
     """ch from the co-adjoint orbits: g sends omega to omega o Ad_g^{-1},
     and the Ad_g^{-1} generate the same group as the Ad_g; an orbit of size
     p^{2i} contributes one character of degree p^i."""
     R = table.ring
     ch = {}
-    for size, count in _orbit_sizes(table, budget, True, series).items():
+    for size, count in _orbit_sizes(table, budget, True).items():
         i = _p_power_exponent(size, R.p)
         if i is None or i % 2:
             raise NonSquareOrbit(f"orbit size {size}")
         ch[i // 2] = count
-    return CountVector(ch, q=R.q if is_field(R) else 1, p=R.p)
+    return CountVector(ch, p=R.p)
 
 
-def centralizer_order(table, x, series=None):
+def centralizer_order(table, x):
     """|C_G(x)| by direct scan: g commutes with x iff g*x = x*g."""
     R, h = table.ring, table.h
     count = 0
     for g in itertools.product(R.elements(), repeat=h):
-        if star(g, x, table, series) == star(x, g, table, series):
+        if star(g, x, table) == star(x, g, table):
             count += 1
     return count

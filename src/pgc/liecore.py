@@ -6,11 +6,19 @@ i < j only. Validation checks antisymmetry, the Jacobi identity, and
 nilpotency. adapt_basis reads the coordinates Theorem B needs off the
 reduced echelon bases of the centre z and the derived algebra g'.
 
+A table is not changed after construction, so its invariants (the lower
+central series, z, g', the adapted basis, and the structure tensor and
+group law of the other modules) are computed once per table: per_table
+keeps them in the table's _memo. Each subobject takes one elimination per
+ring: the reduced echelon form over a field, the local Smith form
+(smith_mod) over Z/p^e; span picks the one for the table's ring.
+
 Indices are 0-based throughout this module; the CLI's text format is 1-based.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from math import gcd
 from typing import NamedTuple
 
@@ -97,6 +105,19 @@ def is_field(ring):
     return isinstance(ring, FieldSpec)
 
 
+def per_table(fn):
+    """fn(table), computed on the first call for a table and kept in its
+    _memo for every later one."""
+    @wraps(fn)
+    def once(table):
+        memo = table._memo
+        if fn not in memo:
+            memo[fn] = fn(table)
+        return memo[fn]
+
+    return once
+
+
 class LieRing:
     """Structure-constant table of a Lie ring over GF(p^f) or Z/p^e.
 
@@ -132,12 +153,19 @@ class LieRing:
                 else:
                     tgt[k] = val
         self.lam = {ij: row for ij, row in lam.items() if row}
-        self._series = None  # lower_central_series, once computed
+        self._memo = {}  # per_table values
 
     def _coerce(self, c):
+        """An integer embedded in the ring; over GF(p^f), f > 1, also a
+        tuple of 1..f integer digits, low degree first, reduced mod p and
+        padded to length f. ValueError for anything else."""
+        R = self.ring
         if isinstance(c, int):
-            return self.ring.embed(c)
-        return c
+            return R.embed(c)
+        if (isinstance(c, tuple) and is_field(R) and R.f > 1 and 0 < len(c) <= R.f
+                and all(isinstance(d, int) for d in c)):
+            return tuple(d % R.p for d in c) + (0,) * (R.f - len(c))
+        raise ValueError(f"coefficient {c!r} is not an element of {R}")
 
     def bracket_basis(self, i, j):
         """{k: coeff} for [e_i, e_j]."""
@@ -294,9 +322,12 @@ class SubspaceBasis:
         return f"SubspaceBasis(orders {self.orders} in rank {self.h})"
 
 
-def span_field(vectors, fs, h):
-    rows = [v for v in vectors if any(not fs.is_zero(x) for x in v)]
-    return SubspaceBasis(fs, h, echelon(rows, fs))
+def span(vectors, ring, h):
+    """The subobject of ring^h the vectors generate: its reduced echelon
+    basis over a field, span_mod's generators and orders over Z/p^e."""
+    if is_field(ring):
+        return SubspaceBasis(ring, h, echelon(vectors, ring))
+    return span_mod(vectors, ring, h)
 
 
 def span_mod(vectors, ring, h):
@@ -330,12 +361,8 @@ def validate(table):
     the table is a valid nilpotent Lie ring."""
     R = table.ring
     h = table.h
-    # antisymmetry is structural (storage is i < j with the sign folded in);
-    # re-check the stored half for reduced coefficients
-    for (i, j), row in table.lam.items():
-        for k, c in row.items():
-            if R.is_zero(c):
-                raise AntisymmetryViolation(i, j, k)
+    # antisymmetry is structural: storage is i < j with the sign folded in,
+    # and the constructor drops zero coefficients
     # Jacobi: [[ei,ej],el] + [[ej,el],ei] + [[el,ei],ej] = 0
     for i in range(h):
         for j in range(i + 1, h):
@@ -355,6 +382,7 @@ def validate(table):
     lower_central_series(table)  # raises NotNilpotent if it stabilizes
 
 
+@per_table
 def derived(table):
     """g' = span of all [e_i, e_j]."""
     h, R = table.h, table.ring
@@ -364,26 +392,14 @@ def derived(table):
         for k, c in row.items():
             v[k] = c
         vecs.append(tuple(v))
-    if is_field(R):
-        return span_field(vecs, R, h)
-    return span_mod(vecs, R, h)
+    return span(vecs, R, h)
 
 
+@per_table
 def lower_central_series(table):
-    """(series, c) with series = (gamma_1, ..., gamma_{c+1}), last one zero.
-    Computed once per table and kept on it: validate and every counting
-    route ask for it."""
-    if table._series is None:
-        table._series = _lower_central_series(table)
-    return table._series
-
-
-def _lower_central_series(table):
+    """(series, c) with series = (gamma_1, ..., gamma_{c+1}), last one zero."""
     h, R = table.h, table.ring
-    if is_field(R):
-        full = span_field([table.basis_vector(i) for i in range(h)], R, h)
-    else:
-        full = span_mod([table.basis_vector(i) for i in range(h)], R, h)
+    full = span([table.basis_vector(i) for i in range(h)], R, h)
     series = [full]
     while True:
         cur = series[-1]
@@ -395,8 +411,7 @@ def _lower_central_series(table):
                 v = table.bracket(g, table.basis_vector(j))
                 if any(not R.is_zero(x) for x in v):
                     nxt_gens.append(v)
-        nxt = (span_field(nxt_gens, R, h) if is_field(R)
-               else span_mod(nxt_gens, R, h))
+        nxt = span(nxt_gens, R, h)
         if nxt.order() == cur.order():
             raise NotNilpotent(f"lower central series stabilizes at order {cur.order()}")
         series.append(nxt)
@@ -412,8 +427,12 @@ def nilpotency_class(table):
     return lower_central_series(table)[1]
 
 
+@per_table
 def centre(table):
-    """z = {x : [e_i, x] = 0 for all i}, via the stacked adjoint matrix."""
+    """z = {x : x C = 0} for the stacked adjoint matrix C, one elimination:
+    kernel_mod over Z/p^e; over a field, the rows of the reduced echelon
+    form of [C | I] that vanish on C, whose I parts are then the reduced
+    echelon basis of z."""
     h, R = table.h, table.ring
     # column block i holds the coordinates of [e_i, x]; row index is the
     # coordinate of x
@@ -422,26 +441,13 @@ def centre(table):
         for l in range(h):
             for k, c in table.bracket_basis(i, l).items():
                 C[l][i * h + k] = c
-    if is_field(R):
-        return _nullspace_field(C, R, h)
-    gens, orders = kernel_mod(C, R)
-    # renormalize through span_mod for canonical generators
-    return span_mod(gens, R, h)
-
-
-def _nullspace_field(C, fs, h):
-    """{x : x C = 0} for an h x w matrix C over a field."""
-    w = len(C[0]) if C else 0
-    # row-reduce the augmented [C | I] and read off zero rows of the C part
-    aug = [list(C[i]) + [fs.one() if t == i else fs.zero() for t in range(h)]
-           for i in range(h)]
-    ech = echelon(aug, fs)
-    null = []
-    for row in ech:
-        if all(fs.is_zero(x) for x in row[:w]):
-            null.append(tuple(row[w:]))
-    # echelonize the coefficient part for a canonical answer
-    return span_field(null, fs, h)
+    if not is_field(R):
+        return SubspaceBasis(R, h, *kernel_mod(C, R))
+    w = h * h
+    aug = [row + [R.one() if t == l else R.zero() for t in range(h)]
+           for l, row in enumerate(C)]
+    return SubspaceBasis(R, h, [row[w:] for row in echelon(aug, R)
+                                if all(R.is_zero(x) for x in row[:w])])
 
 
 class AdaptedBasis(NamedTuple):
@@ -454,6 +460,7 @@ class AdaptedBasis(NamedTuple):
     tail: list
 
 
+@per_table
 def adapt_basis(table):
     """AdaptedBasis(front, tail) of a field table, a = len(front) = dim g/z
     and b = len(tail) = dim g'."""

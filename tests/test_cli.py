@@ -292,15 +292,45 @@ def test_verify_budget_bounds_the_formula_path(tmp_path, capsys, monkeypatch):
     assert out.endswith("verify: 2 paths agree\n")
 
 
-def test_vectors_computes_the_lower_central_series_once(tmp_path, capsys,
-                                                        monkeypatch):
-    calls = []
-    series = pgc.liecore._lower_central_series
-    monkeypatch.setattr(pgc.liecore, "_lower_central_series",
-                        lambda t: calls.append(t) or series(t))
-    assert run(["vectors", _write(tmp_path, HEIS5)]) == 0
+def _computations(fns, thunk):
+    """(thunk(), {name: how often the body of fns[name] ran}). A per_table
+    function is counted through the function it wraps, so a value read
+    back from the memo is not counted."""
+    codes = {getattr(fn, "__wrapped__", fn).__code__: name
+             for name, fn in fns.items()}
+    counts = dict.fromkeys(fns, 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = thunk()
+    finally:
+        sys.setprofile(None)
+    return result, counts
+
+
+def test_vectors_computes_the_lower_central_series_once(tmp_path, capsys):
+    f = _write(tmp_path, HEIS5)
+    fns = {"series": pgc.liecore.lower_central_series}
+    assert _computations(fns, lambda: run(["vectors", f])) == (0, {"series": 1})
     capsys.readouterr()
-    assert len(calls) == 1
+
+
+def test_verify_computes_each_invariant_once(tmp_path, capsys):
+    # theoremB, dual, the Pfaffian formula and the oracle all read the
+    # series, z, g', the adapted basis or the structure tensor
+    f = str(tmp_path / "ga.lie")
+    assert run(["catalog", "boston_isaacs", "--alpha", "1", "-p", "3",
+                "--emit", f]) == 0
+    fns = {name: getattr(pgc.liecore, name) for name in
+           ("lower_central_series", "centre", "derived", "adapt_basis")}
+    fns["structure_tensor"] = pgc.commat.structure_tensor
+    assert _computations(fns, lambda: run(["verify", f])) == (0, dict.fromkeys(fns, 1))
+    out = capsys.readouterr().out
+    assert "path formula" in out and out.endswith("verify: 5 paths agree\n")
 
 
 def test_vectors_dual_modular(tmp_path, capsys):
@@ -504,6 +534,13 @@ def test_catalog_degree_set_families(capsys):
     assert run(["catalog", "isaacs_cd", "-I", "1,x", "-p", "3"]) == 2
     assert run(["catalog", "nonesuch"]) == 2
     capsys.readouterr()
+
+
+def test_catalog_reports_the_missing_flag(capsys):
+    assert run(["catalog", "isaacs_cd", "-I", "1,3"]) == 2
+    assert capsys.readouterr().err == "pgc: error: catalog family needs -p\n"
+    assert run(["catalog", "isaacs_cd", "-p", "3"]) == 2
+    assert capsys.readouterr().err == "pgc: error: catalog family needs -I\n"
 
 
 def test_catalog_emit(tmp_path, capsys):

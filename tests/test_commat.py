@@ -32,6 +32,14 @@ def test_heisenberg_matrices_entrywise():
     assert B.evaluate((1,)) == [(0, 1), (4, 0)]
 
 
+def test_structure_tensor_is_kept_read_only():
+    t = free_table(2, 3, make_field(5))
+    T = structure_tensor(t)
+    assert structure_tensor(t) is T and not T.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 1, 2] = 0
+
+
 def test_structure_tensor_is_the_bracket_codes():
     for t in field_pool() + modular_pool():
         R, h = t.ring, t.h

@@ -318,10 +318,10 @@ def test_theoremB_rejects_modular_table():
 
 
 def test_count_vector_mass_and_total():
-    cc = CountVector({0: 5, 1: 24}, q=5, p=5)
+    cc = CountVector({0: 5, 1: 24}, p=5)
     assert cc.total() == 29
     assert cc.mass(1) == 5 + 24 * 5  # class sizes weighted by p^i
-    ch = CountVector({0: 25, 1: 4}, q=5, p=5)
+    ch = CountVector({0: 25, 1: 4}, p=5)
     assert ch.mass(2) == 25 + 4 * 25  # degrees squared
     with pytest.raises(ValueError):
         CountVector({0: 1}).mass()

@@ -266,6 +266,3 @@ def test_ad_is_computed_once_per_generator_and_series(monkeypatch):
     cc, ch = conjugacy_census(t), coadjoint_census(t)
     assert (cc, ch) == vectors_theoremB(t)
     assert sorted(calls) == sorted(_generators(t))
-    # another series is another cache key
-    assert conjugacy_census(t, series=bch(3)) == cc
-    assert len(calls) == 2 * len(_generators(t))

@@ -33,6 +33,23 @@ def test_bracket_folding_and_antisymmetry():
         LieRing(fs, 3, {(0, 0): {2: 1}})
 
 
+def test_coefficients_are_checked_when_a_table_is_built():
+    gf25 = make_field(5, 2)
+    # tuple digits are reduced mod p and padded: (5, 0) is 0, (6, 0) and
+    # (6,) are 1
+    t = LieRing(gf25, 3, {(0, 1): {2: (5, 0)}})
+    assert t.lam == {}
+    assert vectors_theoremB(t)[0] == {0: 25**3}
+    assert LieRing(gf25, 3, {(0, 1): {2: (6,)}}).lam == {(0, 1): {2: (1, 0)}}
+    t = LieRing(gf25, 3, {(0, 1): {2: (6, 0)}})
+    assert t.lam == {(0, 1): {2: (1, 0)}}
+    assert vectors_theoremB(t) == vectors_theoremB(heisenberg(gf25))
+    for ring, c in ((make_field(5), (1,)), (ModRing(5, 2), (1,)),
+                    (gf25, (1, 0, 0)), (gf25, ()), (gf25, "1"), (gf25, (1.0, 0))):
+        with pytest.raises(ValueError, match="is not an element of"):
+            LieRing(ring, 3, {(0, 1): {2: c}})
+
+
 def test_validate_catches_jacobi_failure():
     fs = make_field(3)
     # [e1,e2]=e3, [e3,e4]=e1: the (e1,e2,e4) cyclic sum is e1, not 0

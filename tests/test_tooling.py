@@ -45,3 +45,20 @@ def test_tracer_records_the_censuses_on_the_kernel_route(monkeypatch):
         tracer.remove()
     assert {"enumctr.census_A", "enumctr.census_B"} <= set(tracer.seconds)
     assert tracer.counts["enumctr.census_A.pts"] == 11**6
+
+
+def test_tracer_records_the_spans_of_a_verify_run(monkeypatch, tmp_path, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import Tracer
+
+    f = tmp_path / "f23.lie"
+    f.write_text(pgc.emit_lie(pgc.free_table(2, 3, pgc.make_field(5))))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert pgc.cli.run(["verify", str(f)]) == 0
+    finally:
+        tracer.remove()
+    assert capsys.readouterr().out.endswith("paths agree\n")
+    assert {"liecore.centre_derived", "liecore.validate"} <= set(tracer.seconds)
+    assert pgc.liecore.centre.__module__ == "pgc.liecore"  # unwrapped again
