@@ -549,27 +549,15 @@ def _cmd_verify(args):
         return 3
 
     mismatches = []
-    ref_cc = ref_ch = ref_k = None
+    refs = {}  # kind -> (label, value) of the first path that gave one
     for label, cc, ch, k in rows:
-        cc, ch = _entries(cc), _entries(ch)
-        if cc is not None:
-            if ref_cc is None:
-                ref_cc = (label, cc)
-            elif cc != ref_cc[1]:
-                mismatches.append(
-                    f"class vectors differ: {ref_cc[0]} {ref_cc[1]} "
-                    f"vs {label} {cc}")
-        if ch is not None:
-            if ref_ch is None:
-                ref_ch = (label, ch)
-            elif ch != ref_ch[1]:
-                mismatches.append(
-                    f"char vectors differ: {ref_ch[0]} {ref_ch[1]} "
-                    f"vs {label} {ch}")
-        if ref_k is None:
-            ref_k = (label, k)
-        elif k != ref_k[1]:
-            mismatches.append(f"k differs: {ref_k[0]} {ref_k[1]} vs {label} {k}")
+        for kind, v in (("class vectors differ", _entries(cc)),
+                        ("char vectors differ", _entries(ch)), ("k differs", k)):
+            if v is None:
+                continue
+            ref_label, ref = refs.setdefault(kind, (label, v))
+            if v != ref:
+                mismatches.append(f"{kind}: {ref_label} {ref} vs {label} {v}")
 
     for label, _, _, k in rows:
         print(f"path {label:<10} k = {k}")

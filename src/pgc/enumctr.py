@@ -267,11 +267,15 @@ def rank_distribution_B(B, budget=DEFAULT_BUDGET, workers=1):
 # Theorem-B route
 
 
+def _check_class(table):
+    """Raise ClassTooLarge unless the nilpotency class is below p."""
+    c, p = lower_central_series(table)[1], table.ring.p
+    if c >= p:
+        raise ClassTooLarge(f"nilpotency class {c} >= p = {p}")
+
+
 def _field_setup(table):
-    fs = table.ring
-    _, c = lower_central_series(table)
-    if c >= fs.p:
-        raise ClassTooLarge(f"nilpotency class {c} >= p = {fs.p}")
+    _check_class(table)
     return build_commutator_matrices(table)
 
 
@@ -367,9 +371,7 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
             raise ValueError("dual route requires Z/p^e or prime-field coefficients")
         R = ModRing(R.p, 1)
     p, m, h = R.p, R.m, table.h
-    _, c = lower_central_series(table)
-    if c >= p:
-        raise ClassTooLarge(f"nilpotency class {c} >= p = {p}")
+    _check_class(table)
     z = centre(table)
     dsub = derived(table)
     zorder = z.order()

@@ -3,15 +3,17 @@
 The group exp(g) = (g, *) has the same underlying set as the Lie ring; the
 product is the truncated Hausdorff series u*v = sum_{i<=c} F_i(u,v) with
 exact rational coefficients, well defined whenever p > c. Everything here
-is deliberately independent of the counting machinery: by the orbit method
-both censuses are orbit counts of the one group generated by the Ad_g on
-the flat additive group (Z/n)^N. Conjugacy classes are the orbits of the
-Ad_g on g; characters are the orbits of their transposes on the dual
-(orbit size q^{2i} <-> degree q^i). The g need only run over generators
-of G modulo its Frattini subgroup Phi(G), which corresponds to p g + g'.
-The reduced series and the Ad_g are computed once per table (per_table),
-each Ad_g becomes one permutation of the element indices, and the orbits
-close by min-label propagation.
+is deliberately independent of the counting machinery. bch collects the
+F_i on the Hall basis by the Dynkin-Specht-Wever lemma (freenil.collect);
+star and bch_matrix_sum evaluate Hall elements by _hall_values. By the
+orbit method both censuses are orbit counts of the one group generated by
+the Ad_g on the flat additive group (Z/n)^N. Conjugacy classes are the
+orbits of the Ad_g on g; characters are the orbits of their transposes on
+the dual (orbit size q^{2i} <-> degree q^i). The g need only run over
+generators of G modulo its Frattini subgroup Phi(G), which corresponds to
+p g + g'. The reduced series and the Ad_g are computed once per table
+(per_table), each Ad_g becomes one permutation of the element indices, and
+the orbits close by min-label propagation.
 
 Group elements are plain coordinate tuples over the table's ring.
 """
@@ -28,7 +30,7 @@ import numpy as np
 from .liecore import ModRing, nilpotency_class, per_table
 from .commat import BudgetExceeded
 from .enumctr import ClassTooLarge, CountVector
-from .freenil import hall_basis
+from .freenil import collect, hall_basis
 
 DEFAULT_ORACLE_BUDGET = 10**6
 
@@ -80,54 +82,6 @@ def _assoc_log_exp_exp(c):
     return {w: v for w, v in H.items() if v}
 
 
-def _assoc_expand(idx, basis, memo):
-    """Integer word expansion of a basic commutator ([u,v] -> uv - vu)."""
-    if idx in memo:
-        return memo[idx]
-    el = basis.elements[idx]
-    if el.parents is None:
-        res = {(idx,): 1}
-    else:
-        L = _assoc_expand(el.parents[0], basis, memo)
-        R = _assoc_expand(el.parents[1], basis, memo)
-        res = {}
-        for wl, cl in L.items():
-            for wr, cr in R.items():
-                res[wl + wr] = res.get(wl + wr, 0) + cl * cr
-                res[wr + wl] = res.get(wr + wl, 0) - cl * cr
-        res = {w: c for w, c in res.items() if c}
-    memo[idx] = res
-    return res
-
-
-def _solve_exact(rows, rhs):
-    """Solve rows^T t = rhs over Fraction; rows[j] is column j. The system
-    must be consistent with a unique solution (Hall elements of one weight
-    are linearly independent)."""
-    ncols = len(rows)
-    aug = [[Fraction(rows[j][i]) for j in range(ncols)] + [Fraction(rhs[i])]
-           for i in range(len(rhs))]
-    piv_rows = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            raise AssertionError("dependent Hall expansion")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        piv_rows.append(col)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][-1]:
-            raise AssertionError("Hausdorff part is not a Lie element")
-    return [aug[i][-1] for i in range(ncols)]
-
-
 class BchSeries:
     """terms[i] = {hall index in f_{2,c}: Fraction} for each degree i <= c."""
 
@@ -143,30 +97,46 @@ class BchSeries:
 @lru_cache(maxsize=None)
 def bch(c):
     """Hausdorff terms F_1..F_c on the Hall basis of the free two-generator
-    Lie algebra: F_1 = X + Y, F_2 = [X,Y]/2, ... All prime factors of the
+    Lie algebra: F_1 = X + Y, F_2 = [X,Y]/2, ... By the Dynkin-Specht-Wever
+    lemma a Lie element of degree n is 1/n times the sum of the left-normed
+    brackets [...[w_1, w_2], ..., w_n] of its words w, so each word of
+    log(exp X exp Y) is put on the Hall basis by collecting one letter at a
+    time. Keys ascend within each degree. All prime factors of the
     denominators in degree i are <= i."""
     if c < 1:
         raise ValueError("truncation class must be >= 1")
     basis = hall_basis(2, c)
-    H = _assoc_log_exp_exp(c)
-    memo = {}
-    terms = {}
-    for deg in range(1, c + 1):
-        layer = basis.layers[deg - 1]
-        words = sorted({w for w in H if len(w) == deg}
-                       | {w for el in layer
-                          for w in _assoc_expand(el.index, basis, memo)})
-        wpos = {w: i for i, w in enumerate(words)}
-        cols = []
-        for el in layer:
-            colv = [0] * len(words)
-            for w, n in _assoc_expand(el.index, basis, memo).items():
-                colv[wpos[w]] = n
-            cols.append(colv)
-        rhs = [H.get(w, Fraction(0)) for w in words]
-        sol = _solve_exact(cols, rhs)
-        terms[deg] = {el.index: t for el, t in zip(layer, sol) if t}
+    acc = {deg: {} for deg in range(1, c + 1)}
+    for w, coeff in _assoc_log_exp_exp(c).items():
+        u = {w[0]: 1}
+        for letter in w[1:]:
+            nxt = {}
+            for k, ck in u.items():
+                for z, cz in collect(k, letter, basis).items():
+                    nxt[z] = nxt.get(z, 0) + ck * cz
+            u = nxt
+        layer = acc[len(w)]
+        for z, n in u.items():
+            layer[z] = layer.get(z, 0) + coeff * n / len(w)
+    terms = {deg: {z: layer[z] for z in sorted(layer) if layer[z]}
+             for deg, layer in acc.items()}
     return BchSeries(c, basis, terms)
+
+
+def _hall_values(basis, x, y, bracket):
+    """ev(idx): the Hall element idx of f_{2,c} at X = x, Y = y, with
+    `bracket` as the Lie bracket; each element is computed once, from the
+    values of its parents."""
+    memo = {1: x, 0: y}
+
+    def ev(idx):
+        v = memo.get(idx)
+        if v is None:
+            l, r = basis.elements[idx].parents
+            v = memo[idx] = bracket(ev(l), ev(r))
+        return v
+
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +186,8 @@ def matrix_log(U):
 def bch_matrix_sum(series, M, N):
     """sum_i F_i(M, N) with brackets as matrix commutators."""
     n = len(M)
-    memo = {1: M, 0: N}
-
-    def ev(idx):
-        if idx in memo:
-            return memo[idx]
-        l, r = series.basis.elements[idx].parents
-        A, B = ev(l), ev(r)
-        memo[idx] = _mat_add(_mat_mul(A, B), _mat_mul(B, A), -1)
-        return memo[idx]
-
+    ev = _hall_values(series.basis, M, N,
+                      lambda A, B: _mat_add(_mat_mul(A, B), _mat_mul(B, A), -1))
     out = [[Fraction(0)] * n for _ in range(n)]
     for deg in range(1, series.c + 1):
         for idx, coeff in series.terms[deg].items():
@@ -262,16 +224,7 @@ def star(x, y, table):
     """The group product in Lie-ring coordinates."""
     reduced, basis = _prepare(table)
     R, h = table.ring, table.h
-    memo = {1: tuple(x), 0: tuple(y)}
-
-    def ev(idx):
-        v = memo.get(idx)
-        if v is None:
-            l, r = basis.elements[idx].parents
-            v = table.bracket(ev(l), ev(r))
-            memo[idx] = v
-        return v
-
+    ev = _hall_values(basis, tuple(x), tuple(y), table.bracket)
     acc = [R.zero()] * h
     for idx, coeff in reduced:
         vec = ev(idx)

@@ -397,24 +397,19 @@ def derived(table):
 
 @per_table
 def lower_central_series(table):
-    """(series, c) with series = (gamma_1, ..., gamma_{c+1}), last one zero."""
+    """(series, c) with series = (gamma_1, ..., gamma_{c+1}), last one zero:
+    gamma_2 = g' is derived(table), gamma_{i+1} the span of the [v, e_j]
+    for v in gamma_i."""
     h, R = table.h, table.ring
     full = span([table.basis_vector(i) for i in range(h)], R, h)
-    series = [full]
-    while True:
-        cur = series[-1]
-        if cur.order() == 1:
-            break
-        nxt_gens = []
-        for g in cur.vectors:
-            for j in range(h):
-                v = table.bracket(g, table.basis_vector(j))
-                if any(not R.is_zero(x) for x in v):
-                    nxt_gens.append(v)
-        nxt = span(nxt_gens, R, h)
-        if nxt.order() == cur.order():
-            raise NotNilpotent(f"lower central series stabilizes at order {cur.order()}")
+    series, nxt = [full], derived(table)
+    while series[-1].order() > 1:
+        if nxt.order() == series[-1].order():
+            raise NotNilpotent(f"lower central series stabilizes at order {nxt.order()}")
         series.append(nxt)
+        brackets = (table.bracket(g, table.basis_vector(j))
+                    for g in nxt.vectors for j in range(h))
+        nxt = span([v for v in brackets if any(not R.is_zero(x) for x in v)], R, h)
     c = len(series) - 1
     if c == 0:
         # zero algebra: treat as class 1 with gamma_2 = 0
@@ -429,21 +424,22 @@ def nilpotency_class(table):
 
 @per_table
 def centre(table):
-    """z = {x : x C = 0} for the stacked adjoint matrix C, one elimination:
-    kernel_mod over Z/p^e; over a field, the rows of the reduced echelon
-    form of [C | I] that vanish on C, whose I parts are then the reduced
-    echelon basis of z."""
+    """z = {x : x C = 0}, column (i, k) of C holding coordinate k of
+    [e_i, x]; C has only the columns a stored bracket reaches, as no other
+    can be nonzero. One elimination: kernel_mod over Z/p^e; over a field,
+    the rows of the reduced echelon form of [C | I] that vanish on C, whose
+    I parts are then the reduced echelon basis of z."""
     h, R = table.h, table.ring
-    # column block i holds the coordinates of [e_i, x]; row index is the
-    # coordinate of x
-    C = [[R.zero()] * (h * h) for _ in range(h)]
-    for i in range(h):
-        for l in range(h):
-            for k, c in table.bracket_basis(i, l).items():
-                C[l][i * h + k] = c
+    cols = sorted({(i, k) for ij, row in table.lam.items() for i in ij for k in row})
+    pos = {ik: n for n, ik in enumerate(cols)}
+    C = [[R.zero()] * len(cols) for _ in range(h)]
+    for (i, j), row in table.lam.items():
+        for k, c in row.items():
+            C[j][pos[i, k]] = c  # [e_i, e_j] = c e_k + ...
+            C[i][pos[j, k]] = R.neg(c)
     if not is_field(R):
         return SubspaceBasis(R, h, *kernel_mod(C, R))
-    w = h * h
+    w = len(cols)
     aug = [row + [R.one() if t == l else R.zero() for t in range(h)]
            for l, row in enumerate(C)]
     return SubspaceBasis(R, h, [row[w:] for row in echelon(aug, R)

@@ -614,8 +614,12 @@ def test_verify_detects_wrong_closed_form(tmp_path, capsys):
     wrong = "name f(2,2)\nring p=5\ndim 4\nbracket 1 2 : 1 3\n"
     assert run(["verify", _write(tmp_path, wrong)]) == 1
     out = capsys.readouterr().out
-    assert "MISMATCH" in out
-    assert "k differs" in out
+    # one line per kind and route that differs: class, then char, then k
+    assert out.endswith(
+        "MISMATCH: class vectors differ: theoremB {0: 25, 1: 120} vs closed {0: 5, 1: 24}\n"
+        "MISMATCH: char vectors differ: theoremB {0: 125, 1: 20} vs closed {0: 25, 1: 4}\n"
+        "MISMATCH: k differs: theoremB 145 vs closed 29\n")
+    assert out.count("MISMATCH") == 3
 
 
 def test_verify_extension_field_free_table(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Hausdorff group law and the brute-force censuses."""
 
+import random
 import time
 import tracemalloc
 from fractions import Fraction
@@ -123,6 +124,28 @@ def test_bch_matrix_sum_is_log_of_product():
     want = matrix_log(_mat_mul(matrix_exp(M), matrix_exp(N)))
     got = bch_matrix_sum(bch(3), M, N)
     assert got == want
+
+
+@pytest.mark.parametrize("c", [5, 6, 7])
+def test_bch_matrix_sum_past_degree_four(c):
+    # strictly upper-triangular (c+1) x (c+1) matrices: products of more
+    # than c factors vanish, so the series truncated at c is exact
+    rng = random.Random(c)
+
+    def nilpotent():
+        return [[Fraction(rng.randint(-3, 3) if j > i else 0) for j in range(c + 1)]
+                for i in range(c + 1)]
+
+    M, N = nilpotent(), nilpotent()
+    from pgc.lazard import _mat_mul
+    want = matrix_log(_mat_mul(matrix_exp(M), matrix_exp(N)))
+    assert bch_matrix_sum(bch(c), M, N) == want
+
+
+def test_bch_terms_list_their_hall_indices_in_ascending_order():
+    for c in range(1, 9):
+        for deg, term in bch(c).terms.items():
+            assert list(term) == sorted(term), (c, deg)
 
 
 def test_non_power_class_size_is_a_named_error(monkeypatch):

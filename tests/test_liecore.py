@@ -283,10 +283,35 @@ def test_smith_mod_dense_vectors_in_milliseconds():
 
 
 def test_centre_order_brute_force():
-    for t in modular_pool():
-        m, h = t.ring.m, t.h
-        want = sum(
-            1 for x in product(range(m), repeat=h)
-            if all(not any(t.bracket(t.basis_vector(i), x)) for i in range(h)))
-        assert centre(t).order() == want
+    # the modular pool, its dense-basis copies, and the field tables with
+    # q^h <= 3125; over a field the reduced echelon basis is unique
+    rng = random.Random(0)
+    modular = modular_pool()
+    dense = [change_basis(t, t.ring.m, [(*rng.sample(range(t.h), 2),
+                                         rng.randrange(1, t.ring.m))
+                                        for _ in range(36)])
+             for t in modular]
+    fields = [heisenberg(make_field(3)), heisenberg(make_field(5)),
+              heisenberg(make_field(3, 2)), free_table(2, 3, make_field(5))]
+    for t in modular + dense + fields:
+        R, h = t.ring, t.h
+        want = [x for x in product(R.elements(), repeat=h)
+                if all(R.is_zero(y) for i in range(h)
+                       for y in t.bracket(t.basis_vector(i), x))]
+        assert centre(t).order() == len(want), t
+        if t in fields:
+            assert centre(t).vectors == echelon(want, R), t
+
+
+@pytest.mark.parametrize("ring", [make_field(5), ModRing(5, 2)])
+def test_the_series_starts_at_the_derived_algebra(ring):
+    t = free_table(2, 3, ring)
+    assert lower_central_series(t)[0][1] is derived(t)
+
+
+def test_sl2_is_not_nilpotent_at_the_first_step():
+    # [e0, e1] = e2, [e2, e0] = 2 e0, [e2, e1] = -2 e1: g' = g
+    sl2 = LieRing(make_field(5), 3, {(0, 1): {2: 1}, (2, 0): {0: 2}, (2, 1): {1: 3}})
+    with pytest.raises(NotNilpotent, match="^lower central series stabilizes at order 125$"):
+        validate(sl2)
 
