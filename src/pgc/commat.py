@@ -149,19 +149,31 @@ def _powers(fs, g):
     return out[: q - 1]
 
 
-@lru_cache(maxsize=4)
 def _arith(fs):
     """(axpy, mul, ninv) on int64 arrays of elements coded by fs.to_int:
     axpy(x, a, y) = x + a y, mul(a, y) = a y, ninv[a] = -1/a (ninv[0] = 0).
-    Prime fields use residues mod p. GF(p^f) multiplies through log and
-    antilog arrays of length O(q) and adds digit by digit mod p."""
+    Prime fields and extension fields keep the last four of their kind
+    each, so a run over a few fields of both builds each one once and
+    holds at most eight O(q) tables."""
+    if fs.q > _MAX_TABLE_Q:
+        raise BudgetExceeded(f"GF({fs.q}) exceeds the {_MAX_TABLE_Q}-element table limit")
+    return (_extension_arith if fs.f > 1 else _prime_arith)(fs)
+
+
+@lru_cache(maxsize=4)
+def _prime_arith(fs):
+    """_arith of GF(p): residues mod p."""
+    p = fs.p
+    ninv = np.array([0] + [p - pow(v, p - 2, p) for v in range(1, p)], np.int64)
+    ninv.setflags(write=False)
+    return (lambda x, a, y: (x + a * y) % p), (lambda a, y: a * y % p), ninv
+
+
+@lru_cache(maxsize=4)
+def _extension_arith(fs):
+    """_arith of GF(p^f), f > 1: products through log and antilog arrays
+    of length O(q), sums digit by digit mod p."""
     p, q = fs.p, fs.q
-    if q > _MAX_TABLE_Q:
-        raise BudgetExceeded(f"GF({q}) exceeds the {_MAX_TABLE_Q}-element table limit")
-    if fs.f == 1:
-        ninv = np.array([0] + [p - pow(v, p - 2, p) for v in range(1, p)], np.int64)
-        ninv.setflags(write=False)
-        return (lambda x, a, y: (x + a * y) % p), (lambda a, y: a * y % p), ninv
     for g in range(2, q):
         exp = _powers(fs, g)
         if not (exp[1:] == 1).any():  # g is primitive
@@ -193,7 +205,19 @@ def batch_rank(M, ring):
     """Ranks of a batch of matrices over GF(q), or over Z/p^e the length l
     of each row span (|span| = p^l; the rank when e = 1). M has shape
     (N, R, C), int64, entries coded by fs.to_int resp. residues mod p^e.
-    Vectorised elimination, destroys M."""
+    Over GF(q) M is left as it is; over Z/p^e it is overwritten.
+
+    Over GF(q) the elimination runs on a copy laid out (R, C, N), the batch
+    axis innermost; the matrices are transposed first if that leaves fewer
+    columns, as the work grows with R C^2 and the rank stays. At each
+    column every lane takes its first nonzero row as the pivot row s,
+    scaled to s[col] = -1, and adds (column col) times s to every row.
+    That clears the pivot row itself, and rows pivoted earlier are zero
+    right of their column, so no row is picked twice and no rows are
+    swapped; a lane with no pivot adds 0. Over GF(p) the entries stay
+    unreduced integers, growing by at most (p - 1)^2 a column (int32 while
+    C (p - 1)^2 + p fits), and only the pivot column and the pivot row
+    are reduced mod p, where they are read."""
     if isinstance(ring, ModRing):
         check_modulus(ring.m)
         return _batch_length(M, ring.p, ring.e)
@@ -202,23 +226,33 @@ def batch_rank(M, ring):
     ranks = np.zeros(N, dtype=np.int64)
     if R == 0:
         return ranks
+    M = M.transpose(1, 2, 0) if R >= C else M.transpose(2, 1, 0)
+    R, C, _ = M.shape
     axpy, mul, ninv = _arith(fs)
-    rows, mats = np.arange(R), np.arange(N)
+    p, lazy = fs.p, fs.f == 1
+    dtype = np.int32 if lazy and C * (p - 1) ** 2 + p < 1 << 31 else np.int64
+    work = np.array(M, dtype=dtype, order="C")
+    flat = work.reshape(-1)
+    lanes = np.arange(N)
+    # flat index of entry (0, c, n) is c N + n; of row r, r C N more
+    grid = np.arange(C)[:, None] * N + lanes
     for col in range(C):
-        cand = (M[:, :, col] != 0) & (rows >= ranks[:, None])
-        has = cand.any(axis=1)
-        piv, r0 = cand.argmax(axis=1), np.minimum(ranks, R - 1)
-        tmp = M[mats, piv]
-        M[mats, piv] = M[mats, r0]
-        # Only rows from the new rank on and columns right of col are read
-        # again, so row r0 and column col are left stale. A matrix with no
-        # pivot in col has 0 there in every such row: zero factors leave
-        # them as they are, whatever tmp holds.
-        pivrow = mul(tmp[:, col + 1 :], ninv[tmp[:, col]][:, None])
-        M[:, :, col + 1 :] = axpy(
-            M[:, :, col + 1 :], M[:, :, col][:, :, None], pivrow[:, None, :]
-        )
-        ranks += has
+        colv = work[:, col]
+        if lazy:
+            colv -= colv // p * p
+        piv = (colv != 0).argmax(axis=0)
+        pv = colv[piv, lanes]
+        ranks += pv != 0
+        if col + 1 == C:
+            break
+        s = flat[grid[col + 1 :] + piv * (C * N)]
+        if lazy:
+            s -= s // p * p
+            s *= ninv[pv]
+            s -= s // p * p
+            work[:, col + 1 :] += colv[:, None] * s
+        else:
+            work[:, col + 1 :] = axpy(work[:, col + 1 :], colv[:, None], mul(s, ninv[pv]))
     return ranks
 
 

@@ -119,26 +119,37 @@ def _usable_cpus():
 
 def _walk(M, codes, levels, workers):
     """counts[i, r] = #{W <= F_q^C : dim W = levels[i], rk M_W = r}, with
-    M_W the stacks of codes (n, R, C) (see stacked_ranks). The reduced
-    echelon bases come in blocks of about _CHUNK matrices of M's size.
-    With workers > 1 the block descriptors go round robin to a thread pool
-    (numpy releases the GIL), so each thread builds only its own blocks;
-    the pool has at most one thread per usable CPU and per block. The
-    counts do not depend on workers."""
+    M_W the stacks of codes (n, R, C) (see stacked_ranks). Each level's
+    reduced echelon bases, pivot set after pivot set, are cut into blocks
+    of step bases, step bringing the block to about _CHUNK matrices of M's
+    size; a block may join the ends of several pivot sets, and only a
+    level's last block is shorter. With workers > 1 the block descriptors
+    go round robin to a thread pool (numpy releases the GIL), so each
+    thread builds only its own blocks; the pool has at most one thread
+    per usable CPU and per block. The counts do not depend on workers."""
     fs = M.fs
     n, R, C = codes.shape
 
     def blocks():
         for i, k in enumerate(levels):
             step = max(1, _CHUNK * max(M.rows * M.cols, 1) // max(k * R * n, 1))
-            for blk in echelon_bases(fs, C, k, step):
-                yield i, blk
+            block, room = [], step
+            for piv, start, stop in echelon_bases(fs, C, k, step):
+                while start < stop:
+                    end = min(stop, start + room)
+                    block.append((piv, start, end))
+                    start, room = end, room - (end - start)
+                    if not room:
+                        yield i, block
+                        block, room = [], step
+            if block:
+                yield i, block
 
     def shard(worker, workers):
         counts = np.zeros((len(levels), n + 1), dtype=np.int64)
-        for i, blk in islice(blocks(), worker, None, workers):
-            ranks = stacked_ranks(fs, codes, echelon_block(fs, C, *blk))
-            counts[i] += np.bincount(ranks, minlength=n + 1)
+        for i, block in islice(blocks(), worker, None, workers):
+            W = np.concatenate([echelon_block(fs, C, *piece) for piece in block])
+            counts[i] += np.bincount(stacked_ranks(fs, codes, W), minlength=n + 1)
         return counts
 
     if workers > 1:

@@ -398,8 +398,9 @@ def derived(table):
 @per_table
 def lower_central_series(table):
     """(series, c) with series = (gamma_1, ..., gamma_{c+1}), last one zero:
-    gamma_2 = g' is derived(table), gamma_{i+1} the span of the [v, e_j]
-    for v in gamma_i."""
+    gamma_2 = g' is derived(table), gamma_{i+1} the span of the
+    [v, e_j] = sum_i v_i [e_i, e_j] for v in gamma_i, read off the stored
+    brackets at v's nonzero coordinates."""
     h, R = table.h, table.ring
     full = span([table.basis_vector(i) for i in range(h)], R, h)
     series, nxt = [full], derived(table)
@@ -407,9 +408,17 @@ def lower_central_series(table):
         if nxt.order() == series[-1].order():
             raise NotNilpotent(f"lower central series stabilizes at order {nxt.order()}")
         series.append(nxt)
-        brackets = (table.bracket(g, table.basis_vector(j))
-                    for g in nxt.vectors for j in range(h))
-        nxt = span([v for v in brackets if any(not R.is_zero(x) for x in v)], R, h)
+        brackets = []
+        for v in nxt.vectors:
+            support = [(i, x) for i, x in enumerate(v) if not R.is_zero(x)]
+            for j in range(h):
+                out = [R.zero()] * h
+                for i, x in support:
+                    for k, c in table.bracket_basis(i, j).items():
+                        out[k] = R.add(out[k], R.mul(x, c))
+                if any(not R.is_zero(y) for y in out):
+                    brackets.append(tuple(out))
+        nxt = span(brackets, R, h)
     c = len(series) - 1
     if c == 0:
         # zero algebra: treat as class 1 with gamma_2 = 0

@@ -100,6 +100,39 @@ def test_batch_rank_matches_reference_rank(p, f):
     assert batch_rank(np.zeros((0, 3, 2), dtype=np.int64), fs).size == 0
 
 
+@pytest.mark.parametrize("p", [14653, 15451, 46337, 1048573])
+def test_batch_rank_of_unreduced_entries_matches_reference_rank(p):
+    # The staircase p - 1 - min(r, c) gains (p - 1)^2 at every column: its
+    # entries reach (C - 1)(p - 1)^2 + p - C unreduced, 1.93e9 at p = 14653
+    # and C = 10, the largest prime with 10 columns in int32, and past 2^31
+    # at 15451. One column stays in int32 up to p = 46337. With the last
+    # entries set to -(C - 1) the largest ones reduce to 0, one rank less.
+    fs, rng = make_field(p), np.random.default_rng(p)
+    for R, C in [(12, 10), (10, 10), (10, 12), (10, 1), (1, 10), (1, 1), (3, 7)]:
+        r, c = np.ogrid[:R, :C]
+        stair = (p - 1 - np.minimum(r, c)) % p
+        short = stair.copy()
+        short[min(R, C) - 1 :, min(R, C) - 1 :] = p + 1 - min(R, C)
+        # 30 random matrices, almost surely of full rank, and 30 of rank
+        # at most k: k random rows in random combinations
+        k = rng.integers(0, min(R, C) + 1, size=30)
+        low = [rng.integers(0, p, (R, j)) @ rng.integers(0, p, (j, C)) % p for j in k]
+        M = np.concatenate([[stair, short % p, np.full((R, C), p - 1)],
+                            rng.integers(0, p, (30, R, C)), low])
+        before = M.copy()
+        got = batch_rank(M, fs).tolist()
+        assert got == [rank(m.tolist(), fs) for m in M], (R, C)
+        assert np.array_equal(M, before)  # the batch is left as it is
+        assert got[:3] == [min(R, C), min(R, C) - 1, 1] and max(got[3:]) == min(R, C)
+
+
+@pytest.mark.parametrize("fs", [make_field(7), make_field(3, 2)], ids=["GF(7)", "GF(9)"])
+def test_batch_rank_of_empty_shapes(fs):
+    for shape in [(0, 3, 2), (0, 0, 0), (3, 0, 4), (3, 4, 0), (2, 0, 0)]:
+        ranks = batch_rank(np.zeros(shape, dtype=np.int64), fs)
+        assert ranks.tolist() == [0] * shape[0], shape
+
+
 def _span_order(mat, m):
     """|row span| of an integer matrix over Z/m, by closing {0} under
     adding every multiple of every row."""

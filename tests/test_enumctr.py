@@ -157,6 +157,57 @@ def test_each_block_is_built_once(route, monkeypatch):
             assert sorted(built) == want, (M.nvars, w)
 
 
+def _blocks_ranked(census, M, monkeypatch):
+    """[(k, bases, step, C)] of every stacked_ranks call of one census of
+    M, in walk order: k-dimensional subspaces of F_q^C, dealt in blocks
+    of step bases by _walk's rule."""
+    calls, original = [], pgc.enumctr.stacked_ranks
+
+    def counted(fs, codes, W):
+        n, R, C = codes.shape
+        N, k, _ = W.shape
+        step = max(1, pgc.enumctr._CHUNK * max(M.rows * M.cols, 1) // max(k * R * n, 1))
+        calls.append((k, N, step, C))
+        return original(fs, codes, W)
+
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", counted)
+    assert census(M, 1) == _brute_force_distribution(M)
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", original)
+    return calls
+
+
+def test_walk_blocks_span_pivot_sets(monkeypatch):
+    # a skew 4 x 4 in 3 variables over GF(5) walks levels 4 and 1; at
+    # level 1 the 156 lines of F_5^4 in pivot sets of 125, 25, 5 and 1
+    # come in blocks of step = 66 bases, the second joining two pivot sets
+    fs, rng = make_field(5), random.Random(6)
+    S4 = skew_form(fs, 4, 3, lambda: fs.from_int(rng.randrange(5)))
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", 50)
+    assert [(k, N, step) for k, N, step, _ in _blocks_ranked(_kernel_census, S4, monkeypatch)
+            ] == [(4, 1, 16), (1, 66, 66), (1, 66, 66), (1, 24, 66)]
+    # on every level of several censuses all blocks but the last rank
+    # exactly step bases, and the level ranks each subspace once
+    A, B = build_commutator_matrices(free_table(2, 3, fs))
+    for chunk in (7, 50):
+        monkeypatch.setattr(pgc.enumctr, "_CHUNK", chunk)
+        for census, M in [(_point_census, A), (_point_census, S4),
+                          (_kernel_census, S4), (_kernel_census, B)]:
+            blocks = _blocks_ranked(census, M, monkeypatch)
+            for level in {(k, C) for k, _, _, C in blocks}:
+                sizes = [N for k, N, _, C in blocks if (k, C) == level]
+                step = next(step for k, _, step, C in blocks if (k, C) == level)
+                assert sizes[:-1] == [step] * (len(sizes) - 1) and sizes[-1] <= step
+                assert sum(sizes) == pgc.enumctr._qbinom(level[1], level[0], fs.q)
+
+
+def test_walk_ranks_small_pivot_sets_in_one_block(monkeypatch):
+    # the 121 monic points of F_3^5 lie in pivot sets of 81, 27, 9, 3 and 1
+    # points, all below the step of 1 << 15: one block, one stacked_ranks
+    A = build_commutator_matrices(free_table(5, 2, make_field(3)))[0]
+    assert [(k, N) for k, N, _, _ in _blocks_ranked(_point_census, A, monkeypatch)
+            ] == [(1, 121)]
+
+
 def test_thread_pool_never_exceeds_the_cpus_or_the_blocks(monkeypatch):
     sizes = []
 
