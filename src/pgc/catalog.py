@@ -8,12 +8,14 @@ the echelon pivots, and A(X), B(Y) come out as the literature writes them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .field import make_field, prime_power
 from .liecore import LieRing, is_field
 from .commat import build_commutator_matrices, check_points, projective_rank_census
-from .enumctr import CountVector, DEFAULT_BUDGET, _exact_div
+from .enumctr import CountVector, DEFAULT_BUDGET, _exact_div, rekey_q_to_p
+from .freenil import UnknownFixture, char_vector_closed, class_vector_closed
 
 
 class ZeroAlpha(ValueError):
@@ -116,11 +118,12 @@ def pfaffian_case_vectors(table, budget=DEFAULT_BUDGET):
     """(cc, ch, k, report) for a class-2 table whose projective B-rank set
     is {a-2, a} and whose Pfaffian hypersurface contains no line. n counts
     the projective points of rank a-2; the three nonzero entries of each
-    vector follow in closed form. Raises HypothesesFailed otherwise."""
+    vector follow in closed form, keyed by exponents of p. Raises
+    HypothesesFailed otherwise."""
     fs = table.ring
     if not is_field(fs):
         raise ValueError("pfaffian_case_vectors requires a field table")
-    q, f, h = fs.q, fs.f, table.h
+    q, h = fs.q, table.h
     A, B = build_commutator_matrices(table)
     a, b = A.nvars, B.nvars
     check_points(fs, b, budget)
@@ -140,18 +143,17 @@ def pfaffian_case_vectors(table, budget=DEFAULT_BUDGET):
     gord = q ** (h - b)
     cc = {
         0: zord,
-        (b - 1) * f: _exact_div(zord * n * (q**2 - 1), q ** (b - 1)),
-        b * f: _exact_div(zord * (q**a - 1 - n * (q**2 - 1)), q**b),
+        b - 1: _exact_div(zord * n * (q**2 - 1), q ** (b - 1)),
+        b: _exact_div(zord * (q**a - 1 - n * (q**2 - 1)), q**b),
     }
     ch = {
         0: gord,
-        (a // 2 - 1) * f: _exact_div(gord * n * (q - 1), q ** (a - 2)),
-        (a // 2) * f: _exact_div(gord * (q**b - 1 - n * (q - 1)), q**a),
+        a // 2 - 1: _exact_div(gord * n * (q - 1), q ** (a - 2)),
+        a // 2: _exact_div(gord * (q**b - 1 - n * (q - 1)), q**a),
     }
     k = (q ** (h - a) + q ** (h - b)
          + q ** (h - a - b) * (n * (q**2 - 1) * (q - 1) - 1))
-    return (CountVector(cc, p=fs.p), CountVector(ch, p=fs.p),
-            k, report)
+    return rekey_q_to_p(cc, q), rekey_q_to_p(ch, q), k, report
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,7 @@ class CatalogEntry:
 
 
 def _quadric_expected(q):
+    """Closed forms of quadric(q), keyed by exponents of q."""
     cc = {0: q**4, 2: 2 * (q**2 - 1) * q**2, 3: q * (q**2 - 1) ** 2}
     ch = {0: q**4, 1: q**2 * (q - 1) * (q + 1) ** 2,
           2: q**4 - 1 - (q + 1) ** 2 * (q - 1)}
@@ -185,8 +188,9 @@ def build_entry(name, **params):
                             {"cc": cc, "ch": ch, "k": k, "n": report.n})
     if name == "quadric":
         q = params["q"]
-        return CatalogEntry(name, {"q": q}, quadric_table(q),
-                            _quadric_expected(q))
+        exp = _quadric_expected(q)
+        exp.update(cc=rekey_q_to_p(exp["cc"], q), ch=rekey_q_to_p(exp["ch"], q))
+        return CatalogEntry(name, {"q": q}, quadric_table(q), exp)
     if name == "isaacs_cd":
         I, p = sorted(set(params["I"])), params["p"]
         table = isaacs_cd_table(I, p)
@@ -202,3 +206,40 @@ def build_entry(name, **params):
 
 
 CATALOG_NAMES = ("boston_isaacs", "quadric", "isaacs_cd", "fm")
+
+
+def free_closed_vectors(r, c, q):
+    """(cc, ch, k) of f(r, c) over GF(q) in closed form, keyed by exponents
+    of p; ch is None where neither a closed form nor a fixture is known."""
+    cc = class_vector_closed(r, c, q)
+    try:
+        ch = rekey_q_to_p(char_vector_closed(r, c, q), q)
+    except UnknownFixture:
+        ch = None
+    return rekey_q_to_p(cc, q), ch, cc.total()
+
+
+def known_vectors(table, budget=DEFAULT_BUDGET):
+    """(label, path) for a field table named f(r,c), quadric(q) or
+    g_alpha(a mod p), else None. path() gives (cc, ch, k) keyed by
+    exponents of p ("closed" in closed form, "formula" by
+    pfaffian_case_vectors within budget) or raises HypothesesFailed."""
+    if not is_field(table.ring):
+        return None
+    q = table.ring.q
+    m = re.fullmatch(r"f\((\d+),(\d+)\)", table.name)
+    if m:
+        r, c = int(m.group(1)), int(m.group(2))
+
+        def free():
+            if r < 2 or c < 1:
+                raise HypothesesFailed(f"f({r},{c}) needs r >= 2 and c >= 1")
+            return free_closed_vectors(r, c, q)
+
+        return "closed", free
+    if re.fullmatch(r"quadric\(\d+\)", table.name):
+        exp = build_entry("quadric", q=q).expected
+        return "closed", lambda: (exp["cc"], exp["ch"], exp["k"])
+    if re.fullmatch(r"g_alpha\(\d+ mod \d+\)", table.name):
+        return "formula", lambda: pfaffian_case_vectors(table, budget)[:3]
+    return None

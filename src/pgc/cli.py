@@ -36,7 +36,6 @@ from .commat import BudgetExceeded, build_commutator_matrices
 from .enumctr import (
     DEFAULT_BUDGET,
     ClassTooLarge,
-    CountVector,
     vectors_theoremB,
     vectors_dual,
     poly_fit,
@@ -55,7 +54,8 @@ from .lazard import (
     NonPowerClass,
     NonSquareOrbit,
 )
-from .catalog import CATALOG_NAMES, HypothesesFailed, build_entry, pfaffian_case_vectors
+from .catalog import (CATALOG_NAMES, HypothesesFailed, build_entry,
+                      free_closed_vectors, known_vectors)
 
 
 class LieSyntaxError(SyntaxError):
@@ -255,15 +255,6 @@ def _print_json(obj):
     print(json.dumps(obj, separators=(", ", ": ")))
 
 
-def _entries(v):
-    """Plain {exponent: count} dict from a CountVector or dict."""
-    if v is None:
-        return None
-    if isinstance(v, CountVector):
-        return dict(v.entries)
-    return dict(v)
-
-
 class BadInput(ValueError):
     pass
 
@@ -340,20 +331,9 @@ def _cmd_vectors(args):
     return 0
 
 
-def _free_closed(r, c, q):
-    """(cc, ch) of f(r, c) over GF(q) in closed form; ch is None where
-    neither a closed form nor a fixture is known."""
-    cc = class_vector_closed(r, c, q)
-    try:
-        return cc, char_vector_closed(r, c, q)
-    except UnknownFixture:
-        return cc, None
-
-
 def _cmd_free(args):
     if not is_prime(args.p):
         raise BadInput(f"p = {args.p} is not prime")
-    q = args.p ** args.f
     table = None
     if args.emit or args.enumerate or args.json:
         table = free_table(args.r, args.c, make_field(args.p, args.f))
@@ -365,11 +345,10 @@ def _cmd_free(args):
             return 0
     if args.enumerate:
         cc, ch = vectors_theoremB(table, args.budget)
-        method = "matrix"
+        k, method = cc.total(), "matrix"
     else:
-        cc, ch = _free_closed(args.r, args.c, q)
+        cc, ch, k = free_closed_vectors(args.r, args.c, args.p ** args.f)
         method = "closed"
-    k = cc.total()
     if args.json:
         _print_json(_json_obj(table, cc, ch, k, method))
     else:
@@ -483,43 +462,10 @@ def _cmd_fit(args):
     return 0
 
 
-_FREE_NAME = re.compile(r"f\((\d+),(\d+)\)$")
-_QUADRIC_NAME = re.compile(r"quadric\((\d+)\)$")
-_BI_NAME = re.compile(r"g_alpha\((\d+) mod (\d+)\)$")
-
-
-def _closed_path(t, budget):
-    """(label, path) for a field table recognized by name, else None;
-    path() gives (cc, ch, k), the Pfaffian formula's census within budget.
-    Closed forms are keyed by exponents of q; they are re-keyed by
-    exponents of p, as every counting route reports them."""
-    def rekey(v):
-        return None if v is None else {i * t.ring.f: n for i, n in v.items()}
-
-    def free(r, c):
-        cc, ch = _free_closed(r, c, t.ring.q)
-        return rekey(cc), rekey(ch), cc.total()
-
-    def quadric():
-        exp = build_entry("quadric", q=t.ring.q).expected
-        return rekey(exp["cc"]), rekey(exp["ch"]), exp["k"]
-
-    if not is_field(t.ring):
-        return None
-    m = _FREE_NAME.fullmatch(t.name)
-    if m:
-        return "closed", lambda: free(int(m.group(1)), int(m.group(2)))
-    if _QUADRIC_NAME.fullmatch(t.name):
-        return "closed", quadric
-    if _BI_NAME.fullmatch(t.name):
-        return "formula", lambda: pfaffian_case_vectors(t, budget)[:3]
-    return None
-
-
 def _cmd_verify(args):
     t = _load(args.file)
     validate(t)
-    rows = []  # (label, cc entries or None, ch entries or None, k)
+    rows = []  # (label, CountVector cc or None, CountVector ch or None, k)
     skipped = []
 
     def attempt(label, fn):
@@ -538,9 +484,9 @@ def _cmd_verify(args):
         attempt("theoremB", lambda: vectors_theoremB(t, args.budget))
     if not is_field(t.ring) or t.ring.f == 1:
         attempt("dual", lambda: vectors_dual(t, args.budget))
-    closed = _closed_path(t, args.budget)
-    if closed:
-        attempt(*closed)
+    known = known_vectors(t, args.budget)
+    if known:
+        attempt(*known)
     attempt("conjugacy", lambda: (conjugacy_census(t, args.oracle_budget), None))
     attempt("coadjoint", lambda: (None, coadjoint_census(t, args.oracle_budget)))
 
@@ -551,8 +497,9 @@ def _cmd_verify(args):
     mismatches = []
     refs = {}  # kind -> (label, value) of the first path that gave one
     for label, cc, ch, k in rows:
-        for kind, v in (("class vectors differ", _entries(cc)),
-                        ("char vectors differ", _entries(ch)), ("k differs", k)):
+        for kind, v in (("class vectors differ", None if cc is None else cc.entries),
+                        ("char vectors differ", None if ch is None else ch.entries),
+                        ("k differs", k)):
             if v is None:
                 continue
             ref_label, ref = refs.setdefault(kind, (label, v))

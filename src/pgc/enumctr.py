@@ -22,6 +22,7 @@ from math import comb, gcd, prod
 
 import numpy as np
 
+from .field import prime_power
 from .liecore import (
     ModRing,
     centre,
@@ -105,6 +106,31 @@ def _exact_div(n, d):
     if r:
         raise InexactDivision(f"{n} not divisible by {d}")
     return q
+
+
+def rekey_q_to_p(entries, q):
+    """Entries keyed by exponents of q = p^f as a CountVector keyed by
+    exponents of p: entry i becomes entry f i."""
+    p, f = prime_power(q)
+    return CountVector({f * i: n for i, n in entries.items()}, p=p)
+
+
+def count_vectors(class_sizes, char_sizes, zorder, abelian_order, p):
+    """(cc, ch) keyed by exponents of p by Theorems A and B, from
+    class_sizes[l] = #{x in g/z : |im ad_x| = p^l} and char_sizes[l] =
+    #{omega in g'^ : |im B_omega| = p^l}: cc_l = class_sizes[l] |z| p^-l,
+    ch_{l/2} = char_sizes[l] |G/G'| p^-l. InexactDivision if an l of
+    char_sizes is odd, a division is inexact or the totals differ."""
+    cc = CountVector({l: _exact_div(n * zorder, p**l)
+                      for l, n in class_sizes.items() if n}, p=p)
+    odd = [l for l, n in char_sizes.items() if n and l % 2]
+    if odd:
+        raise InexactDivision(f"radical index {p**odd[0]} is not an even p-power")
+    ch = CountVector({l // 2: _exact_div(n * abelian_order, p**l)
+                      for l, n in char_sizes.items() if n}, p=p)
+    if cc.total() != ch.total():
+        raise InexactDivision("class and character totals disagree")
+    return cc, ch
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +317,22 @@ def _field_setup(table):
 
 
 def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
-    """(cc, ch) over GF(p^f): cc[i f] = mu[i] |Z| q^{-i},
-    ch[i f] = nu[i] |G/G'| q^{-2i}. All divisions must be exact. workers
-    shards each census over threads (see rank_distribution). Both budgets
-    are checked before either census starts."""
+    """(cc, ch) over GF(p^f) by count_vectors, an image of rank i having
+    p^(f i) elements. workers shards each census over threads (see
+    rank_distribution). Both budgets are checked before either census
+    starts."""
     fs = table.ring
     if not is_field(fs):
         raise ValueError("vectors_theoremB requires a field table")
     A, B = _field_setup(table)
     check_points(fs, A.nvars, budget)
     check_points(fs, B.nvars, budget)
-    a, b, h = A.nvars, B.nvars, table.h
-    q, f = fs.q, fs.f
-    zdim = h - a
+    q, f, h = fs.q, fs.f, table.h
     mu = rank_distribution_A(A, budget, workers)
     nu = rank_distribution_B(B, budget, workers)
-    cc = {}
-    for i, n in mu.items():
-        cc[i * f] = _exact_div(n * q**zdim, q**i)
-    ch = {}
-    for i, n in nu.items():
-        ch[i * f] = _exact_div(n * q ** (h - b), q ** (2 * i))
-    return (CountVector(cc, p=fs.p), CountVector(ch, p=fs.p))
+    return count_vectors({f * i: n for i, n in mu.items()},
+                         {f * 2 * i: n for i, n in nu.items()},
+                         q ** (h - A.nvars), q ** (h - B.nvars), fs.p)
 
 
 def s_size_from_mu(mu, b, q):
@@ -350,7 +370,7 @@ def class_number(table, budget=DEFAULT_BUDGET):
 
 
 def _length_census(gens, orders, forms, ring):
-    """Counts of l over the points x = sum_i t_i gens[i], 0 <= t_i <
+    """{l: count} over the points x = sum_i t_i gens[i], 0 <= t_i <
     orders[i], where |row span of sum_k x_k forms[k]| = p^l over Z/p^e.
     The t_i are the mixed-radix digits of an index, taken _DUAL_CHUNK
     points at a time."""
@@ -367,15 +387,13 @@ def _length_census(gens, orders, forms, ring):
         t = idx[:, None] // strides % np.array(orders, dtype=np.int64)
         mats = lincomb(ring, t, GK).reshape(idx.size, R, C)
         counts += np.bincount(batch_rank(mats, ring), minlength=counts.size)
-    return counts.tolist()
+    return dict(enumerate(counts.tolist()))
 
 
 def vectors_dual(table, budget=DEFAULT_BUDGET):
-    """(cc, ch) by Theorem A over Z/p^e:
-    cc_i = #{x in g/z : |im ad_x| = p^i} |z| p^{-i},
-    ch_i = #{omega in g'^ : |im B_omega| = p^{2i}} |G/G'| p^{-2i},
-    with B_omega = (omega[e_a, e_b]); |im B_omega| is the index of the
-    radical of the form omega[., .] in g."""
+    """(cc, ch) by Theorem A over Z/p^e (see count_vectors), with
+    B_omega = (omega[e_a, e_b]); |im B_omega| is the index of the radical
+    of the form omega[., .] in g."""
     R = table.ring
     if is_field(R):  # GF(p), for cross-checks: lengths over Z/p are ranks
         if R.f > 1:
@@ -401,8 +419,7 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     # representatives sum_i t_i Vinv_i of g/z, 0 <= t_i < d_i
     dz, _, Vz = smith_mod(z.vectors, m, h)
     quo = [i for i, d in enumerate(dz) if d > 1]
-    lengths = _length_census([Vz[i] for i in quo], [dz[i] for i in quo], L, R)
-    cc = {i: _exact_div(n * zorder, p**i) for i, n in enumerate(lengths) if n}
+    cc_lengths = _length_census([Vz[i] for i in quo], [dz[i] for i in quo], L, R)
 
     # character side: g' is the sum of the <d_i Vinv_i>, d_i < m, and v in
     # g' has coordinates (v V)_i / d_i; the characters are the residue
@@ -410,20 +427,11 @@ def vectors_dual(table, budget=DEFAULT_BUDGET):
     # and B_omega[a, b] = sum_k L[a, b, k] w_k
     dd, Vd, _ = smith_mod(dsub.vectors, m, h)
     active = [i for i, d in enumerate(dd) if d != m]
-    lengths = _length_census([[row[i] for row in Vd] for i in active],
-                             [m // dd[i] for i in active],
-                             L.transpose(2, 0, 1), R)
-    odd = [l for l, n in enumerate(lengths) if n and l % 2]
-    if odd:
-        raise InexactDivision(f"radical index {p**odd[0]} is not an even p-power")
-    goverd = _exact_div(gorder, dsub.order())
-    ch = {l // 2: _exact_div(n * goverd, p**l) for l, n in enumerate(lengths) if n}
-
-    ccv = CountVector(cc, p=p)
-    chv = CountVector(ch, p=p)
-    if ccv.total() != chv.total():
-        raise InexactDivision("class and character totals disagree")
-    return ccv, chv
+    ch_lengths = _length_census([[row[i] for row in Vd] for i in active],
+                                [m // dd[i] for i in active],
+                                L.transpose(2, 0, 1), R)
+    return count_vectors(cc_lengths, ch_lengths, zorder,
+                         _exact_div(gorder, dsub.order()), p)
 
 
 # ---------------------------------------------------------------------------

@@ -398,11 +398,12 @@ def derived(table):
 @per_table
 def lower_central_series(table):
     """(series, c) with series = (gamma_1, ..., gamma_{c+1}), last one zero:
-    gamma_2 = g' is derived(table), gamma_{i+1} the span of the
-    [v, e_j] = sum_i v_i [e_i, e_j] for v in gamma_i, read off the stored
-    brackets at v's nonzero coordinates."""
+    gamma_1 = g has the standard basis, gamma_2 = g' is derived(table),
+    gamma_{i+1} the span of the [v, e_j] = sum_i v_i [e_i, e_j] for v in
+    gamma_i, read off the stored brackets at v's nonzero coordinates."""
     h, R = table.h, table.ring
-    full = span([table.basis_vector(i) for i in range(h)], R, h)
+    full = SubspaceBasis(R, h, [table.basis_vector(i) for i in range(h)],
+                         None if is_field(R) else [R.m] * h)
     series, nxt = [full], derived(table)
     while series[-1].order() > 1:
         if nxt.order() == series[-1].order():

@@ -98,6 +98,10 @@ def test_build_entry_catalog_names():
     assert set(CATALOG_NAMES) == {"boston_isaacs", "quadric", "isaacs_cd", "fm"}
     e = build_entry("quadric", q=3)
     assert e.expected["k"] == sum(dict(e.expected["cc"].items()).values())
+    # over GF(9) the vectors are keyed by exponents of p = 3, p is set
+    e = build_entry("quadric", q=9)
+    assert e.expected["cc"].p == 3 and e.expected["cc"][4] == 12960
+    assert e.expected["cc"].mass() == 9**8 == e.expected["ch"].mass(2)
     e = build_entry("fm", l=2, n=3, p=5)
     assert e.expected["cd"] == {1, 25}
     with pytest.raises(ValueError):

@@ -269,7 +269,7 @@ def test_verify_records_a_formula_over_budget(tmp_path, capsys, monkeypatch):
     def over_budget(*args):
         raise BudgetExceeded("q^n = 10 exceeds budget 1")
 
-    monkeypatch.setattr(pgc.cli, "pfaffian_case_vectors", over_budget)
+    monkeypatch.setattr(pgc.catalog, "pfaffian_case_vectors", over_budget)
     assert run(["verify", _write(tmp_path, HEIS5_GA)]) == 0
     out = capsys.readouterr().out
     assert "path formula    skipped (budget)\n" in out
@@ -366,15 +366,21 @@ def test_free_closed_form_output(capsys):
         "k = 149\n")
 
 
-def test_free_closed_vs_enumerate_agree(tmp_path, capsys):
-    assert run(["free", "-r", "2", "-c", "3", "-p", "5", "--json"]) == 0
-    closed = json.loads(capsys.readouterr().out)
-    assert run(["free", "-r", "2", "-c", "3", "-p", "5",
-                "--enumerate", "--json"]) == 0
-    enum = json.loads(capsys.readouterr().out)
-    assert closed["method"] == "closed" and enum["method"] == "matrix"
-    for key in ("class_vector", "char_vector", "k"):
-        assert closed[key] == enum[key]
+def test_free_closed_vs_enumerate_agree(capsys):
+    # both are keyed by exponents of p, also over GF(p^f)
+    for r, c, p, f in [(2, 3, 5, 1), (2, 2, 3, 2), (2, 3, 5, 2)]:
+        argv = ["free", "-r", str(r), "-c", str(c), "-p", str(p), "-f", str(f)]
+        assert run(argv + ["--json"]) == 0
+        closed = json.loads(capsys.readouterr().out)
+        assert run(argv + ["--enumerate", "--json"]) == 0
+        enum = json.loads(capsys.readouterr().out)
+        assert closed["method"] == "closed" and enum["method"] == "matrix"
+        for key in ("class_vector", "char_vector", "k"):
+            assert closed[key] == enum[key], (r, c, p, f)
+        assert run(argv) == 0
+        text = capsys.readouterr().out
+        assert run(argv + ["--enumerate"]) == 0
+        assert text == capsys.readouterr().out, (r, c, p, f)
 
 
 def test_free_fixture_pair_has_char_vector(capsys):
@@ -507,6 +513,18 @@ def test_catalog_quadric(capsys):
     assert "needs -q" in capsys.readouterr().err
 
 
+def test_catalog_quadric_prints_what_vectors_prints(tmp_path, capsys):
+    f = str(tmp_path / "quad9.lie")
+    assert run(["catalog", "quadric", "-q", "9", "--emit", f]) == 0
+    capsys.readouterr()
+    assert run(["catalog", "quadric", "-q", "9"]) == 0
+    expected = capsys.readouterr().out.splitlines()
+    assert run(["vectors", f]) == 0
+    computed = capsys.readouterr().out.splitlines()
+    assert "size 3^4 : 12960" in computed
+    assert [l for l in expected if l.startswith(("size", "degree", "k ="))] == computed
+
+
 def test_catalog_boston_isaacs(capsys):
     assert run(["catalog", "boston_isaacs", "--alpha", "1", "-p", "5"]) == 0
     out = capsys.readouterr().out
@@ -635,6 +653,14 @@ def test_verify_extension_field_free_table(tmp_path, capsys):
     assert "MISMATCH" not in out
     assert "verify: 4 paths agree" in out
     assert "path closed" in out
+
+
+@pytest.mark.parametrize("name", ["f(1,2)", "f(2,0)"])
+def test_verify_skips_a_name_without_closed_form(tmp_path, capsys, name):
+    assert run(["verify", _write(tmp_path, HEIS5.replace("name heis", f"name {name}"))]) == 0
+    out = capsys.readouterr().out
+    assert f"path closed     skipped ({name} needs r >= 2 and c >= 1)\n" in out
+    assert out.endswith("verify: 4 paths agree\n")
 
 
 def test_verify_modular_table(tmp_path, capsys):

@@ -466,6 +466,20 @@ def test_qminus1_expansion():
     assert p.qminus1_coefficients() == [Fraction(3), Fraction(3), Fraction(1)]
 
 
+def test_count_vectors_check_lengths_and_totals(monkeypatch):
+    from pgc.enumctr import count_vectors
+    # the Heisenberg group over GF(5): 24 classes of size 5, 4 characters of degree 5
+    cc, ch = count_vectors({0: 1, 1: 24}, {0: 1, 2: 4}, 5, 25, 5)
+    assert (cc.entries, ch.entries, cc.p) == ({0: 5, 1: 24}, {0: 25, 1: 4}, 5)
+    with pytest.raises(InexactDivision, match="not an even p-power"):
+        count_vectors({0: 1}, {1: 1}, 1, 1, 3)
+    # Theorem B assembles through count_vectors, so it checks the totals
+    monkeypatch.setattr(pgc.enumctr, "rank_distribution_B",
+                        lambda *args: CountVector({0: 1, 1: 9}, p=5))
+    with pytest.raises(InexactDivision, match="totals disagree"):
+        vectors_theoremB(heisenberg(make_field(5)))
+
+
 def test_exact_division_guard():
     from pgc.enumctr import _exact_div
     assert _exact_div(10, 5) == 2

@@ -61,4 +61,5 @@ def test_tracer_records_the_spans_of_a_verify_run(monkeypatch, tmp_path, capsys)
         tracer.remove()
     assert capsys.readouterr().out.endswith("paths agree\n")
     assert {"liecore.centre_derived", "liecore.validate"} <= set(tracer.seconds)
+    assert "freenil.closed" in tracer.seconds
     assert pgc.liecore.centre.__module__ == "pgc.liecore"  # unwrapped again
