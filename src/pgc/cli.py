@@ -320,8 +320,6 @@ def _cmd_vectors(args):
             raise BadInput("matrix method requires field coefficients")
         cc, ch = vectors_theoremB(t, args.budget, args.threads)
     else:
-        if is_field(t.ring) and t.ring.f > 1:
-            raise BadInput("dual method requires GF(p) or Z/p^e coefficients")
         cc, ch = vectors_dual(t, args.budget)
     k = cc.total()
     if args.json:
@@ -482,8 +480,7 @@ def _cmd_verify(args):
 
     if is_field(t.ring):
         attempt("theoremB", lambda: vectors_theoremB(t, args.budget))
-    if not is_field(t.ring) or t.ring.f == 1:
-        attempt("dual", lambda: vectors_dual(t, args.budget))
+    attempt("dual", lambda: vectors_dual(t, args.budget))
     known = known_vectors(t, args.budget)
     if known:
         attempt(*known)

@@ -3,12 +3,12 @@
 Two routes to the same answers:
   * field route: enumerate F_q^a and F_q^b, read off rank distributions of
     the commutator matrices, scale by |Z| resp. |G/G'|;
-  * dual route (Z/p^e, also GF(p) for cross-checks): Theorem A as a matrix
-    method. |im ad_x| over coset representatives x of g/z and |im B_omega|
-    over the characters omega of g' are lengths of matrices linear in x
-    resp. omega, read off one batched valuation-pivot elimination per
-    chunk. No complex numbers: a character is a residue vector w and
-    omega([u, v]) is the residue of w . [u, v].
+  * dual route (every table, a field one over GF(p) by restrict_scalars):
+    Theorem A as a matrix method. |im ad_x| over coset representatives x
+    of g/z and |im B_omega| over the characters omega of g' are lengths of
+    matrices linear in x resp. omega, read off one batched valuation-pivot
+    elimination per chunk. No complex numbers: a character is a residue
+    vector w and omega([u, v]) is the residue of w . [u, v].
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .liecore import (
     derived,
     is_field,
     lower_central_series,
+    restrict_scalars,
     smith_mod,
 )
 from .commat import (
@@ -366,7 +367,7 @@ def class_number(table, budget=DEFAULT_BUDGET):
 
 
 # ---------------------------------------------------------------------------
-# dual route over Z/p^e (and GF(p), for cross-checks)
+# dual route over Z/p^e (and GF(p), which every field table restricts to)
 
 
 def _length_census(gens, orders, forms, ring):
@@ -393,12 +394,10 @@ def _length_census(gens, orders, forms, ring):
 def vectors_dual(table, budget=DEFAULT_BUDGET):
     """(cc, ch) by Theorem A over Z/p^e (see count_vectors), with
     B_omega = (omega[e_a, e_b]); |im B_omega| is the index of the radical
-    of the form omega[., .] in g."""
-    R = table.ring
-    if is_field(R):  # GF(p), for cross-checks: lengths over Z/p are ranks
-        if R.f > 1:
-            raise ValueError("dual route requires Z/p^e or prime-field coefficients")
-        R = ModRing(R.p, 1)
+    of the form omega[., .] in g. A field table runs over GF(p) as
+    restrict_scalars gives it, where lengths over Z/p are ranks."""
+    table = restrict_scalars(table)
+    R = ModRing(table.ring.p, 1) if is_field(table.ring) else table.ring
     p, m, h = R.p, R.m, table.h
     _check_class(table)
     z = centre(table)

@@ -22,8 +22,23 @@ def factorize(n):
     return out
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # the least strong pseudoprime to them all
+
+
 def is_prime(n):
-    return factorize(n) == {n: 1}
+    """Deterministic Miller-Rabin on _MR_BASES, exact below _MR_LIMIT
+    (about 3.3e24); ValueError from there on."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 2**r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 def prime_power(q):

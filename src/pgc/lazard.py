@@ -7,9 +7,11 @@ is deliberately independent of the counting machinery. bch collects the
 F_i on the Hall basis by the Dynkin-Specht-Wever lemma (freenil.collect);
 star and bch_matrix_sum evaluate Hall elements by _hall_values. By the
 orbit method both censuses are orbit counts of the one group generated by
-the Ad_g on the flat additive group (Z/n)^N. Conjugacy classes are the
-orbits of the Ad_g on g; characters are the orbits of their transposes on
-the dual (orbit size q^{2i} <-> degree q^i). The g need only run over
+the Ad_g on the additive group (Z/n)^N of the table over GF(p) or Z/p^e;
+a GF(p^f) table is first taken over GF(p) by liecore.restrict_scalars,
+which leaves the group as it is. Conjugacy classes are the orbits of the
+Ad_g on g; characters are the orbits of their transposes on the dual
+(orbit size p^{2i} <-> degree p^i). The g need only run over
 generators of G modulo its Frattini subgroup Phi(G), which corresponds to
 p g + g'. The reduced series and the Ad_g are computed once per table
 (per_table), each Ad_g becomes one permutation of the element indices, and
@@ -27,7 +29,7 @@ from math import factorial
 
 import numpy as np
 
-from .liecore import ModRing, nilpotency_class, per_table
+from .liecore import is_field, nilpotency_class, per_table, restrict_scalars
 from .commat import BudgetExceeded
 from .enumctr import ClassTooLarge, CountVector
 from .freenil import collect, hall_basis
@@ -243,32 +245,13 @@ def star_inverse(x, table):
 # ---------------------------------------------------------------------------
 # censuses
 
-# The additive group of the table is (Z/n)^N after flattening: n = p^e for
-# modular rings (N = h), n = p for fields (N = h f, basis t^s e_i). An
-# element, and a character through the dot-product pairing, is a residue
-# tuple, coded as the mixed-radix index sum_l d_l n^l. Conjugation by g is
-# the linear map Ad_g; g acts on characters by the transpose of Ad_g^{-1}.
+# The additive group of restrict_scalars(table) is (Z/n)^N, n = p (a field
+# table) or p^e (over Z/p^e), N its rank. An element, and a character
+# through the dot-product pairing, is a residue tuple, coded as the
+# mixed-radix index sum_l d_l n^l. Conjugation by g is the linear map Ad_g;
+# g acts on characters by the transpose of Ad_g^{-1}.
 
 _CHUNK = 1 << 16
-
-
-def _flat_model(table):
-    R, h = table.ring, table.h
-    if isinstance(R, ModRing):
-        return R.m, h, None
-    if R.f == 1:
-        return R.p, h, None
-    return R.p, h * R.f, R.f
-
-
-def _flat_rows(R, vectors, f):
-    """The flat digits of t^s v for each v in vectors and s < f in turn,
-    so a GF(q)-linear map's rows become its rows on the flat basis
-    t^s e_i (l = i f + s); the residues of each v when f is None."""
-    if f is None:
-        return [list(v) for v in vectors]
-    scalars = [R.from_int(R.p**s) for s in range(f)]
-    return [[d for c in v for d in R.mul(t, c)] for v in vectors for t in scalars]
 
 
 def _pivot_columns(rows, p):
@@ -290,29 +273,20 @@ def _pivot_columns(rows, p):
 
 
 def _generators(table):
-    """Generators of (g, *) modulo its Frattini subgroup: the flat basis
-    vectors t^s e_i at the non-pivot columns of an F_p echelon of the flat
-    codes of the t^s [e_i, e_j] mod p, which span (g' + p g)/p g in
-    g/p g. For p > c the Lazard correspondence makes the normal subgroups
-    N the ideals I on the same set, and G/N is elementary abelian exactly
-    when g/I is abelian with p (g/I) = 0 (x^p = p x), that is when I
-    contains g' + p g; so Phi(G) = G^p G', the least such N, is g' + p g.
-    The chosen vectors span a complement of (g' + p g)/p g, so they
-    generate G by the Burnside basis theorem; Ad is a homomorphism, so
-    their Ad_g generate Ad(G), and the transposes generate the transposed
-    group."""
-    R, h = table.ring, table.h
-    _, N, f = _flat_model(table)
-    brackets = [table.bracket(table.basis_vector(i), table.basis_vector(j))
-                for i in range(h) for j in range(i + 1, h)]
-    pivots = set(_pivot_columns(_flat_rows(R, brackets, f), R.p))
-    gens = []
-    for l in range(N):
-        if l not in pivots:
-            i, s = divmod(l, f or 1)
-            c = R.one() if f is None else R.from_int(R.p**s)
-            gens.append(tuple(c if j == i else R.zero() for j in range(h)))
-    return gens
+    """Generators of (g, *) modulo its Frattini subgroup, over GF(p) or
+    Z/p^e: the basis vectors at the non-pivot columns of an F_p echelon of
+    the [e_i, e_j] mod p, which span (g' + p g)/p g in g/p g. For p > c
+    the Lazard correspondence makes the normal subgroups N the ideals I on
+    the same set, and G/N is elementary abelian exactly when g/I is abelian
+    with p (g/I) = 0 (x^p = p x), that is when I contains g' + p g; so
+    Phi(G) = G^p G', the least such N, is g' + p g. The chosen vectors span
+    a complement of (g' + p g)/p g, so they generate G by the Burnside
+    basis theorem; Ad is a homomorphism, so their Ad_g generate Ad(G), and
+    the transposes generate the transposed group."""
+    h = table.h
+    rows = [[row.get(k, 0) for k in range(h)] for row in table.lam.values()]
+    pivots = set(_pivot_columns(rows, table.ring.p))
+    return [table.basis_vector(l) for l in range(h) if l not in pivots]
 
 
 def _ad_rows(table, g):
@@ -323,13 +297,9 @@ def _ad_rows(table, g):
 
 
 @per_table
-def _flat_ads(table):
-    """Read-only Ad_g over Z/n on the flat model for each g in
-    _generators(table). Ad_g is GF(q)-linear, so its row at t^s e_i is t^s
-    times row i."""
-    f = _flat_model(table)[2]
-    mats = [np.array(_flat_rows(table.ring, _ad_rows(table, g), f), dtype=np.int64)
-            for g in _generators(table)]
+def _ads(table):
+    """Read-only Ad_g over Z/n for each g in _generators(table)."""
+    mats = [np.array(_ad_rows(table, g), dtype=np.int64) for g in _generators(table)]
     for A in mats:
         A.setflags(write=False)
     return mats
@@ -370,21 +340,24 @@ def _permutation(A, n, N):
 
 def _orbit_sizes(table, budget, transpose):
     """{orbit size: #orbits} of the group generated by the Ad_g (their
-    transposes when `transpose`) on (Z/n)^N, for g running over generators
-    of G modulo its Frattini subgroup (_generators). Each generator becomes
-    one permutation P of the indices. Labels fall to the least index of
+    transposes when `transpose`) on (Z/n)^N, the additive group of
+    restrict_scalars(table), for g running over generators of G modulo its
+    Frattini subgroup (_generators). Each generator becomes one
+    permutation P of the indices. Labels fall to the least index of
     their orbit under label = min(label, label[P]), and each round squares
     every P, so one round covers twice the stretch of a cycle. Ad_g has
     p-power order, odd unless Ad_g = 1 (p = 2 forces class 1), so P^2
     generates the same cyclic group as P, and P^{-1} is a power of P: at
     the fixed point the labels are constant on the orbits."""
-    n, N, _ = _flat_model(table)
+    table = restrict_scalars(table)
+    R, N = table.ring, table.h
+    n = R.q if is_field(R) else R.m
     order = n**N
     if order > budget:
         what = "|dual|" if transpose else "|G|"
         raise BudgetExceeded(f"{what} = {order} exceeds oracle budget {budget}")
     perms = [_permutation(A.T if transpose else A, n, N)
-             for A in _flat_ads(table)]
+             for A in _ads(table)]
     label = np.arange(order, dtype=np.int64)
     while True:
         new = label

@@ -5,6 +5,7 @@ and the sparse bracket table [e_i, e_j] = sum_k lambda_ij^k e_k stored for
 i < j only. Validation checks antisymmetry, the Jacobi identity, and
 nilpotency. adapt_basis reads the coordinates Theorem B needs off the
 reduced echelon bases of the centre z and the derived algebra g'.
+restrict_scalars takes a GF(p^f) table to the same ring over GF(p).
 
 A table is not changed after construction, so its invariants (the lower
 central series, z, g', the adapted basis, and the structure tensor and
@@ -22,7 +23,7 @@ from functools import wraps
 from math import gcd
 from typing import NamedTuple
 
-from .field import FieldSpec, is_prime
+from .field import FieldSpec, is_prime, make_field
 
 
 class AntisymmetryViolation(ValueError):
@@ -491,8 +492,6 @@ def base_change(table, m):
         raise ValueError("base_change requires a field table")
     if m == 1:
         return table
-    from .field import make_field
-
     big = make_field(fs.p, fs.f * m)
 
     def lift(c):
@@ -506,3 +505,20 @@ def base_change(table, m):
         ij: {k: lift(c) for k, c in row.items()} for ij, row in table.lam.items()
     }
     return LieRing(big, table.h, new_brackets, table.name)
+
+
+@per_table
+def restrict_scalars(table):
+    """A GF(p^f) table, f > 1, as the same Lie ring over GF(p), and so the
+    same group on (Z/p)^{hf}: the basis t^s e_i sits at index i f + s, and
+    [t^s e_i, t^u e_j] has the base-p digits of t^(s+u) lambda_ij^k at the
+    indices k f + r. Any other table is returned as it is, memo and all."""
+    R = table.ring
+    if not is_field(R) or R.f == 1:
+        return table
+    f = R.f
+    t = [R.power(R.from_int(R.p), n) for n in range(2 * f - 1)]  # the t^(s+u)
+    brackets = {(i * f + s, j * f + u): {k * f + r: d for k, c in row.items()
+                                         for r, d in enumerate(R.mul(t[s + u], c))}
+                for (i, j), row in table.lam.items() for s in range(f) for u in range(f)}
+    return LieRing(make_field(R.p), table.h * f, brackets, table.name)

@@ -65,9 +65,14 @@ def prime_field_pool():
 
 
 def dual_pool():
-    """Every GF(p) member: the dual route takes |g/z| + |g'| batched
-    eliminations, cheap for all of them."""
-    return prime_field_pool()
+    """Every field_pool() member and three more GF(p^f) tables: the dual
+    route takes |g/z| + |g'^| batched eliminations on the table over GF(p),
+    cheap for all of them."""
+    return field_pool() + [
+        free_table(3, 2, make_field(3, 2)),
+        free_table(2, 3, make_field(5, 2)),
+        quadric_table(9),
+    ]
 
 
 def modular_pool():

@@ -13,6 +13,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -143,6 +144,15 @@ def test_syntax_errors(text, lineno):
     with pytest.raises(LieSyntaxError) as ei:
         parse_lie(text)
     assert ei.value.line == lineno
+
+
+def test_large_primes_are_tested_without_trial_division():
+    t0 = time.perf_counter()
+    t = parse_lie("ring p=2305843009213693951\ndim 1\n")  # 2^61 - 1
+    assert time.perf_counter() - t0 < 1
+    assert t.ring.p == 2**61 - 1
+    with pytest.raises(LieSyntaxError, match="is not prime"):
+        parse_lie("ring p=1000000016000000063\ndim 1\n")  # 1000000007 * 1000000009
 
 
 def test_duplicate_pair_rejected_even_when_consistent():
@@ -344,7 +354,12 @@ def test_vectors_dual_modular(tmp_path, capsys):
 
 
 def test_vectors_method_restrictions(tmp_path, capsys):
-    assert run(["vectors", _write(tmp_path, HEIS9_EXT), "--method", "dual"]) == 2
+    # the dual route takes GF(9) over GF(3) and prints the matrix route's bytes
+    f = _write(tmp_path, HEIS9_EXT)
+    assert run(["vectors", f]) == 0
+    matrix = capsys.readouterr().out
+    assert run(["vectors", f, "--method", "dual"]) == 0
+    assert capsys.readouterr().out == matrix
     assert run(["vectors", _write(tmp_path, HEIS_Z9), "--method", "matrix"]) == 2
     capsys.readouterr()
 
@@ -651,8 +666,8 @@ def test_verify_extension_field_free_table(tmp_path, capsys):
     assert run(["verify", f]) == 0
     out = capsys.readouterr().out
     assert "MISMATCH" not in out
-    assert "verify: 4 paths agree" in out
-    assert "path closed" in out
+    assert "verify: 5 paths agree" in out
+    assert "path closed" in out and "path dual       k = 89\n" in out
 
 
 @pytest.mark.parametrize("name", ["f(1,2)", "f(2,0)"])

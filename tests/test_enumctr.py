@@ -414,9 +414,10 @@ def test_dual_route_in_a_dense_basis(seed):
     assert got == vectors_dual(t)
 
 
-def test_matrix_and_dual_agree_on_prime_fields():
+def test_matrix_and_dual_agree_on_every_field():
+    # over GF(p^f), f > 1, the dual route runs on restrict_scalars(t)
     pool = dual_pool()
-    assert len(pool) >= 5
+    assert sum(t.ring.f > 1 for t in pool) >= 4
     for t in pool:
         cc_m, ch_m = vectors_theoremB(t)
         cc_d, ch_d = vectors_dual(t)

@@ -11,6 +11,22 @@ def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if factorize(n) == {n: 1}]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # the least strong pseudoprimes to the first t prime bases, t = 1..12
+    # (t = 7, 8 and t = 9..11 share theirs)
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(n), n
+    assert not is_prime(1000000007 * 1000000009)  # a 19-digit semiprime
+    for n in (2**31 - 1, 2**61 - 1, 2**64 - 59, 2**79 - 67):
+        assert is_prime(n), n
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(3317044064679887385961981)  # the first the bases miss
 
 
 def test_factorize_and_prime_power():

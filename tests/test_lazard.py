@@ -17,8 +17,8 @@ from pgc import (
     matrix_exp, matrix_log, bch_matrix_sum, NonPowerClass, NonSquareOrbit,
 )
 import pgc.lazard
-from pgc.lazard import _flat_model, _generators, _orbit_sizes, _permutation
-from pgc.liecore import is_field
+from pgc.lazard import _generators, _orbit_sizes, _permutation
+from pgc.liecore import is_field, restrict_scalars
 from conftest import field_pool, heisenberg, modular_pool
 
 
@@ -204,12 +204,13 @@ def test_oracle_does_not_import_the_counting_kernels():
 
 def _every_flat_basis_vector(t):
     """The generators the oracle used before the Frattini reduction: every
-    t^s e_i, in flat order."""
-    R = t.ring
-    scalars = ([R.from_int(R.p**s) for s in range(R.f)] if is_field(R)
-               else [R.one()])
-    return [tuple(R.mul(s, c) for c in t.basis_vector(i))
-            for i in range(t.h) for s in scalars]
+    basis vector of t over GF(p) or Z/p^e, as restrict_scalars gives it."""
+    return [t.basis_vector(i) for i in range(t.h)]
+
+
+def _order(t):
+    R = restrict_scalars(t).ring
+    return (R.q if is_field(R) else R.m) ** restrict_scalars(t).h
 
 
 def test_reduced_oracle_matches_every_generator(monkeypatch):
@@ -220,11 +221,12 @@ def test_reduced_oracle_matches_every_generator(monkeypatch):
 
     def tables():
         return [t for pool in (field_pool, modular_pool) for t in pool()
-                if _flat_model(t)[0] ** _flat_model(t)[1] <= budget]
+                if _order(t) <= budget]
 
     reduced = []
     for t in tables():
-        assert len(_generators(t)) < len(_every_flat_basis_vector(t)), t.name
+        r = restrict_scalars(t)
+        assert len(_generators(r)) < len(_every_flat_basis_vector(r)), t.name
         reduced.append((t.name, [_orbit_sizes(t, budget, tr) for tr in (False, True)]))
     assert len(reduced) == len(field_pool()) + len(modular_pool()) - 1
     monkeypatch.setattr(pgc.lazard, "_generators", _every_flat_basis_vector)
@@ -241,7 +243,7 @@ def test_reduced_oracle_matches_every_generator(monkeypatch):
     (quadric_table(3), 4),
 ])
 def test_generator_counts(table, count):
-    assert len(_generators(table)) == count
+    assert len(_generators(restrict_scalars(table))) == count
 
 
 def _reference_permutation(A, n, N):
@@ -268,7 +270,7 @@ def test_permutation_builder_matches_the_matmul(monkeypatch, n, N):
 
 def test_permutation_builder_on_a_line_over_z_5_8():
     t = LieRing(ModRing(5, 8), 1, {}, "line")
-    n, N, _ = _flat_model(t)
+    n, N = t.ring.m, t.h
     assert (n, N) == (5**8, 1)  # 2n - 2 needs uint32
     A = np.array([[123_457]])
     assert np.array_equal(_permutation(A, n, N), _reference_permutation(A, n, N))
@@ -288,4 +290,4 @@ def test_ad_is_computed_once_per_generator_and_series(monkeypatch):
     t = quadric_table(3)
     cc, ch = conjugacy_census(t), coadjoint_census(t)
     assert (cc, ch) == vectors_theoremB(t)
-    assert sorted(calls) == sorted(_generators(t))
+    assert sorted(calls) == sorted(_generators(restrict_scalars(t)))

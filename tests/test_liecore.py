@@ -14,9 +14,9 @@ from pgc import (
     adapt_basis, base_change,
     free_table, vectors_theoremB, boston_isaacs_table, pfaffian_case_vectors,
 )
-from pgc.liecore import echelon, smith_mod, span_mod, kernel_mod
-from conftest import (heisenberg, field_pool, prime_field_pool, modular_pool,
-                      change_basis)
+from pgc.liecore import echelon, smith_mod, span_mod, kernel_mod, restrict_scalars
+from conftest import (heisenberg, dual_pool, field_pool, prime_field_pool,
+                      modular_pool, change_basis)
 
 
 def test_bracket_folding_and_antisymmetry():
@@ -149,6 +149,25 @@ def test_base_change_extends_scalars():
     b = vectors_theoremB(direct)
     assert dict(a[0].items()) == dict(b[0].items()) == {0: 9, 2: 80}
     assert dict(a[1].items()) == dict(b[1].items()) == {0: 81, 2: 8}
+
+
+def test_restriction_of_scalars_keeps_the_group():
+    for t in dual_pool() + modular_pool():
+        r = restrict_scalars(t)
+        if getattr(t.ring, "f", 1) == 1:
+            assert r is t, t.name  # GF(p) and Z/p^e share the table's memo
+            continue
+        f = t.ring.f
+        validate(r)
+        assert (r.ring.q, r.h, r.name) == (t.ring.p, t.h * f, t.name)
+        assert r.ring.q ** r.h == t.ring.q ** t.h  # |G| = q^h = p^(hf)
+        assert nilpotency_class(r) == nilpotency_class(t), t.name
+        assert (centre(r).dim, derived(r).dim) == (f * centre(t).dim, f * derived(t).dim)
+        assert restrict_scalars(t) is r  # kept in the table's memo
+    # heis/GF(9), t^2 = -1: [t e_1, t e_2] = t^2 e_3 = 2 e_3 and
+    # [e_1, t e_2] = [t e_1, e_2] = t e_3, at index i f + s
+    assert restrict_scalars(heisenberg(make_field(3, 2))).lam == {
+        (0, 2): {4: 1}, (0, 3): {5: 1}, (1, 2): {5: 1}, (1, 3): {4: 2}}
 
 
 # Integer matrices with known Smith forms over Z; over Z/m their local
