@@ -15,7 +15,8 @@ from .field import make_field, prime_power
 from .liecore import LieRing, is_field
 from .commat import build_commutator_matrices, check_points, projective_rank_census
 from .enumctr import CountVector, DEFAULT_BUDGET, _exact_div, rekey_q_to_p
-from .freenil import UnknownFixture, char_vector_closed, class_vector_closed
+from .freenil import (UnknownFixture, char_vector_closed, class_vector_closed,
+                      free_dimension)
 
 
 class ZeroAlpha(ValueError):
@@ -223,7 +224,8 @@ def known_vectors(table, budget=DEFAULT_BUDGET):
     """(label, path) for a field table named f(r,c), quadric(q) or
     g_alpha(a mod p), else None. path() gives (cc, ch, k) keyed by
     exponents of p ("closed" in closed form, "formula" by
-    pfaffian_case_vectors within budget) or raises HypothesesFailed."""
+    pfaffian_case_vectors within budget) or raises HypothesesFailed, for
+    f(r,c) also when f(r,c) has more dimensions than the table."""
     if not is_field(table.ring):
         return None
     q = table.ring.q
@@ -234,6 +236,9 @@ def known_vectors(table, budget=DEFAULT_BUDGET):
         def free():
             if r < 2 or c < 1:
                 raise HypothesesFailed(f"f({r},{c}) needs r >= 2 and c >= 1")
+            d = free_dimension(r, c)
+            if d > table.h:
+                raise HypothesesFailed(f"f({r},{c}) has dimension {d}, the table {table.h}")
             return free_closed_vectors(r, c, q)
 
         return "closed", free

@@ -230,12 +230,6 @@ def _render(cc, ch, k, p):
     return "\n".join(lines)
 
 
-def _f_or_e(ring):
-    if is_field(ring):
-        return f"f={ring.f}"
-    return f"e={ring.e}"
-
-
 def _json_obj(table, cc, ch, k, method):
     def vec(v):
         return None if v is None else {str(i): n for i, n in sorted(v.items())}
@@ -243,7 +237,7 @@ def _json_obj(table, cc, ch, k, method):
     return {
         "name": table.name,
         "p": table.ring.p,
-        "f_or_e": _f_or_e(table.ring),
+        "f_or_e": f"f={table.ring.f}" if is_field(table.ring) else f"e={table.ring.e}",
         "class_vector": vec(cc),
         "char_vector": vec(ch),
         "k": k,
@@ -320,7 +314,7 @@ def _cmd_vectors(args):
             raise BadInput("matrix method requires field coefficients")
         cc, ch = vectors_theoremB(t, args.budget, args.threads)
     else:
-        cc, ch = vectors_dual(t, args.budget)
+        cc, ch = vectors_dual(t, args.budget, args.threads)
     k = cc.total()
     if args.json:
         _print_json(_json_obj(t, cc, ch, k, method))

@@ -7,8 +7,9 @@ matrix with B(Y)_{ij} = sum_k lambda_ij^k Y_k. Both read one block of T in
 the coordinates of adapt_basis: the e_i run over a basis of g modulo the
 centre, and k over the echelon basis of g'. Rank loci of A give class
 sizes, of B character degrees. Censuses walk the reduced echelon bases of
-subspaces (echelon_bases, echelon_block); the monic points of F_q^n are
-its 1-dimensional level. Over Z/p^e the same batched kernel returns the
+subspaces (echelon_bases, echelon_block); its 1-dimensional level is one
+generator per cyclic subgroup of a sum of cyclic p-groups, the monic points
+of F_q^n over a field. Over Z/p^e the same batched kernel returns the
 length of the row span, for the dual route's image sizes.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -32,11 +33,11 @@ class BudgetExceeded(RuntimeError):
 
 
 class LinearFormMatrix:
-    """Matrix of linear forms over GF(q): M(x) = sum_v x_v codes[v], with
-    codes an (nvars, rows, cols) int64 array of fs.to_int codes. skew=True
-    claims every M(x) alternating, which the censuses rely on; NotSkew is
-    raised unless each codes[v] is square with a zero diagonal and
-    codes[v]^T = -codes[v]."""
+    """Matrix of linear forms over GF(q) or Z/p^e: M(x) = sum_v x_v
+    codes[v], codes an (nvars, rows, cols) int64 array of fs.to_int codes
+    resp. residues. skew=True (GF(q) only) claims every M(x) alternating,
+    which the censuses rely on; NotSkew is raised unless each codes[v] is
+    square with a zero diagonal and codes[v]^T = -codes[v]."""
 
     def __init__(self, fs, codes, skew=False):
         self.fs = fs
@@ -294,34 +295,56 @@ def lincomb(ring, X, K):
     return out
 
 
-def _free_entries(n, piv):
-    """(rows, cols) of the free entries of a reduced echelon basis in F_q^n
-    with pivot columns piv: right of their row's pivot, off the pivots."""
-    return np.array([(i, j) for i, p in enumerate(piv) for j in range(p + 1, n)
-                     if j not in piv], dtype=np.int64).reshape(-1, 2).T
+def radix(ring):
+    """(r, e) with |ring| = r^e, the scalars of the echelon walk: (q, 1)
+    over GF(q), (p, e) over Z/p^e."""
+    return (ring.p, ring.e) if isinstance(ring, ModRing) else (ring.q, 1)
 
 
-def echelon_bases(fs, n, k, step):
-    """Every k-dimensional subspace of F_q^n once, as descriptors (piv,
-    start, stop) of blocks of at most step reduced echelon bases, one pivot
-    set per block; echelon_block builds a block. Pivot sets come in
-    combinations order; the free entries of a pivot set are the base-q
-    digits of a running index, last fastest. At k = 1 the bases are the
-    monic points of F_q^n in projective_points order."""
-    for piv in combinations(range(n), k):
-        size = fs.q ** _free_entries(n, piv).shape[1]
-        for s in range(0, size, step):
-            yield piv, s, min(s + step, size)
+def _free_entries(exps, box):
+    """(rows, cols, t) of the free entries of the bases in box (s, piv)
+    (see echelon_bases): entry (i, c), c off the pivots, runs over the
+    elements of order at most r^t of Z/r^exps[c], t = s - 1 left of row
+    i's pivot and s right of it, capped at exps[c]; t = 0 leaves it 0."""
+    s, piv = box
+    free = [(i, c, min(a, s - (c < j))) for i, j in enumerate(piv)
+            for c, a in enumerate(exps) if c not in piv]
+    return np.array([x for x in free if x[2]], dtype=np.int64).reshape(-1, 3).T
 
 
-def echelon_block(fs, n, piv, start, stop):
-    """The (stop - start, k, n) int64 codes of the reduced echelon bases
-    start..stop-1 of pivot set piv (see echelon_bases)."""
-    q, (r, c) = fs.q, _free_entries(n, piv)
+def echelon_bases(ring, exps, k, step):
+    """The level-k bases of the walk of sum_c Z/r^exps[c] ((r, e) =
+    radix(ring)), as descriptors (box, start, stop) of blocks of at most
+    step bases of one box; echelon_block builds a block. Level 1 holds one
+    generator per cyclic subgroup, so one point per orbit of the units: box
+    (s, (j,)) those of order r^s whose first coordinate of that order, j,
+    is r^(exps[j] - s); coordinates before j have order below r^s, those
+    after it at most r^s. Over GF(q) (every exps[c] 1, r = q, s = 1; k >= 2
+    needs it) level k holds every k-dimensional subspace of F_q^n once as
+    its reduced echelon basis, box (1, piv) per pivot set piv in
+    combinations order; level 1 is the monic points in projective_points
+    order. The free entries of a box are the base-r digits of a running
+    index, last fastest, each scaled into its subgroup."""
+    r = radix(ring)[0]
+    for s in range(1, max(exps, default=1) + 1):
+        for piv in combinations(range(len(exps)), k):
+            if min(exps[j] for j in piv) >= s:
+                size = r ** int(_free_entries(exps, (s, piv))[2].sum())
+                for start in range(0, size, step):
+                    yield (s, piv), start, min(start + step, size)
+
+
+def echelon_block(ring, exps, box, start, stop):
+    """The (stop - start, k, n) int64 codes of the bases start..stop-1 of
+    box (see echelon_bases)."""
+    r, (s, piv) = radix(ring)[0], box
+    rows, cols, t = _free_entries(exps, box)
+    a, piv = np.array(exps, dtype=np.int64), list(piv)
     idx = np.arange(start, stop, dtype=np.int64)
-    W = np.zeros((idx.size, len(piv), n), dtype=np.int64)
-    W[:, np.arange(len(piv)), list(piv)] = 1
-    W[:, r, c] = idx[:, None] // q ** np.arange(r.size - 1, -1, -1, dtype=np.int64) % q
+    W = np.zeros((idx.size, len(piv), len(exps)), dtype=np.int64)
+    W[:, np.arange(len(piv)), piv] = r ** (a[piv] - s)
+    place = r ** (np.cumsum(t[::-1])[::-1] - t)  # r^(digits after the entry)
+    W[:, rows, cols] = idx[:, None] // place % r**t * r ** (a[cols] - t)
     return W
 
 
@@ -371,21 +394,8 @@ def pfaffian(matrix, fs):
 def projective_points(fs, b):
     """Monic representatives of P^{b-1}(F_q): first nonzero coordinate 1,
     in odometer order of the free coordinates."""
-    pts = []
-    one, zero = fs.one(), fs.zero()
-    els = fs.elements()
-    for lead in range(b):
-        # coordinates: zero^lead, 1, then b-lead-1 free slots
-        free = b - lead - 1
-        for n in range(fs.q**free):
-            tail = []
-            t = n
-            for _ in range(free):
-                tail.append(els[t % fs.q])
-                t //= fs.q
-            tail.reverse()
-            pts.append((zero,) * lead + (one,) + tuple(tail))
-    return pts
+    return [(fs.zero(),) * lead + (fs.one(),) + tail for lead in range(b)
+            for tail in product(fs.elements(), repeat=b - lead - 1)]
 
 
 def projective_lines(fs, b):
@@ -398,8 +408,9 @@ def projective_lines(fs, b):
     # a monic point x with first nonzero coordinate l has index base[l] + x pw
     base = np.cumsum([0] + [q ** (b - 1 - lead) for lead in range(b - 1)]) - pw
     t = np.arange(q, dtype=np.int64)[None, :, None]
-    for piv, start, stop in echelon_bases(fs, b, 2, max(1, _STEP // (q + 1))):
-        U, V = echelon_block(fs, b, piv, start, stop).transpose(1, 0, 2)
+    for box, start, stop in echelon_bases(fs, (1,) * b, 2, max(1, _STEP // (q + 1))):
+        U, V = echelon_block(fs, (1,) * b, box, start, stop).transpose(1, 0, 2)
+        piv = box[1]
         on_u = base[piv[0]] + axpy(U[:, None], t, V[:, None]) @ pw
         on_v = base[piv[1]] + V @ pw
         yield np.concatenate([on_v[:, None], on_u], axis=1)
@@ -416,8 +427,8 @@ def projective_rank_census(B, budget=10**9):
         return {}, True
     check_points(fs, b, budget)
     codes = B.codes.transpose(2, 1, 0)
-    ranks = np.concatenate([stacked_ranks(fs, codes, echelon_block(fs, b, *blk))
-                            for blk in echelon_bases(fs, b, 1, _STEP)])
+    ranks = np.concatenate([stacked_ranks(fs, codes, echelon_block(fs, (1,) * b, *blk))
+                            for blk in echelon_bases(fs, (1,) * b, 1, _STEP)])
     census = dict(Counter(ranks.tolist()))
     full = ranks == B.rows
     for lines in projective_lines(fs, b):

@@ -6,9 +6,10 @@ Two routes to the same answers:
   * dual route (every table, a field one over GF(p) by restrict_scalars):
     Theorem A as a matrix method. |im ad_x| over coset representatives x
     of g/z and |im B_omega| over the characters omega of g' are lengths of
-    matrices linear in x resp. omega, read off one batched valuation-pivot
-    elimination per chunk. No complex numbers: a character is a residue
-    vector w and omega([u, v]) is the residue of w . [u, v].
+    matrices linear in x resp. omega, so constant on the orbits of the
+    units; the echelon walk of the rank censuses ranks one point per
+    orbit. No complex numbers: a character is a residue vector w and
+    omega([u, v]) is the residue of w . [u, v].
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .field import prime_power
 from .liecore import (
-    ModRing,
     centre,
     derived,
     is_field,
@@ -34,20 +34,19 @@ from .liecore import (
 )
 from .commat import (
     BudgetExceeded,
-    batch_rank,
+    LinearFormMatrix,
     build_commutator_matrices,
     check_modulus,
     check_points,
     echelon_bases,
     echelon_block,
-    lincomb,
+    radix,
     stacked_ranks,
     structure_tensor,
 )
 
 DEFAULT_BUDGET = 10**9
 _CHUNK = 1 << 15
-_DUAL_CHUNK = 1 << 12
 
 
 class ClassTooLarge(ValueError):
@@ -144,27 +143,31 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _walk(M, codes, levels, workers):
-    """counts[i, r] = #{W <= F_q^C : dim W = levels[i], rk M_W = r}, with
-    M_W the stacks of codes (n, R, C) (see stacked_ranks). Each level's
-    reduced echelon bases, pivot set after pivot set, are cut into blocks
-    of step bases, step bringing the block to about _CHUNK matrices of M's
-    size; a block may join the ends of several pivot sets, and only a
-    level's last block is shorter. With workers > 1 the block descriptors
-    go round robin to a thread pool (numpy releases the GIL), so each
-    thread builds only its own blocks; the pool has at most one thread
-    per usable CPU and per block. The counts do not depend on workers."""
-    fs = M.fs
+def _walk(M, codes, exps, levels, workers):
+    """counts[i, l] = #{W : dim W = levels[i], M_W has rank l} over the walk
+    of sum_c Z/r^exps[c] ((r, e) = radix(M.fs); see echelon_bases), M_W the
+    stacks of codes (n, R, C) (see stacked_ranks), l a row-span length over
+    Z/p^e. A level-1 generator of order r^s counts r^(s-1), so level 1
+    counts #{x != 0 : M_x has length l} / (r - 1). Each level's boxes are
+    cut into blocks of step bases, step bringing a block to about _CHUNK
+    matrices of M's size; a block may join the ends of several boxes, and
+    only a level's last block is shorter. With workers > 1 the blocks go
+    round robin to a thread pool (numpy releases the GIL), each thread
+    building only its own; the pool has at most one thread per usable CPU
+    and per block. The counts do not depend on workers."""
+    ring = M.fs
+    r, e = radix(ring)
     n, R, C = codes.shape
+    width = e * n + 1
 
     def blocks():
         for i, k in enumerate(levels):
             step = max(1, _CHUNK * max(M.rows * M.cols, 1) // max(k * R * n, 1))
             block, room = [], step
-            for piv, start, stop in echelon_bases(fs, C, k, step):
+            for box, start, stop in echelon_bases(ring, exps, k, step):
                 while start < stop:
                     end = min(stop, start + room)
-                    block.append((piv, start, end))
+                    block.append((box, start, end))
                     start, room = end, room - (end - start)
                     if not room:
                         yield i, block
@@ -173,10 +176,13 @@ def _walk(M, codes, levels, workers):
                 yield i, block
 
     def shard(worker, workers):
-        counts = np.zeros((len(levels), n + 1), dtype=np.int64)
+        counts = np.zeros((len(levels), width), dtype=np.int64)
         for i, block in islice(blocks(), worker, None, workers):
-            W = np.concatenate([echelon_block(fs, C, *piece) for piece in block])
-            counts[i] += np.bincount(stacked_ranks(fs, codes, W), minlength=n + 1)
+            ranks = stacked_ranks(ring, codes, np.concatenate(
+                [echelon_block(ring, exps, *piece) for piece in block]))
+            ends = np.cumsum([stop - start for _, start, stop in block])
+            for ((s, _), _, _), part in zip(block, np.split(ranks, ends[:-1])):
+                counts[i] += np.bincount(part, minlength=width) * r ** (s - 1)
         return counts
 
     if workers > 1:
@@ -187,12 +193,14 @@ def _walk(M, codes, levels, workers):
         return sum(ex.map(shard, range(workers), [workers] * workers))
 
 
-def _point_census(M, workers):
-    """Rank counts from the monic representatives, the k = 1 level of the
-    walk over M's transposed codes (M(x) is the stack at W = <x>), each
-    counting q-1 times (M is linear in x), plus the origin."""
-    counts = _walk(M, M.codes.transpose(2, 1, 0), [1], workers)[0]
-    counts = counts * (M.fs.q - 1)
+def _point_census(M, workers, exps=None):
+    """{l: #{x : M(x) has rank (row-span length over Z/p^e) l}} over x in
+    sum_v Z/r^exps[v] (F_q^nvars if exps is None): level 1 of the walk over
+    M's transposed codes (M(x) is the stack at W = <x>), times r - 1 (M is
+    linear in x), plus the origin."""
+    exps = exps or (1,) * M.nvars
+    counts = _walk(M, M.codes.transpose(2, 1, 0), exps, [1], workers)[0]
+    counts = counts * (radix(M.fs)[0] - 1)
     counts[0] += 1  # the origin
     return {r: c for r, c in enumerate(counts.tolist()) if c}
 
@@ -264,7 +272,7 @@ def _kernel_census(M, workers):
     codes = M.codes if M.rows >= M.cols else M.codes.transpose(0, 2, 1)
     C = codes.shape[2]
     levels, solve = _kernel_levels(q, C, M.skew)
-    counts = _walk(M, codes, levels, workers)
+    counts = _walk(M, codes, (1,) * C, levels, workers)
     S = [q**n] + [sum(c * q ** (n - r) for r, c in enumerate(row))
                   for row in counts.tolist()]
     g = {d: divmod(sum(c * s for c, s in zip(cs, S)), p) for d, p, cs in solve}
@@ -286,8 +294,7 @@ def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
 
 def rank_distribution_A(A, budget=DEFAULT_BUDGET, workers=1):
     """mu[i] = #{x in F_q^a : rk A(x) = i}."""
-    mu = rank_distribution(A, budget, workers)
-    return CountVector(mu, p=A.fs.p)
+    return CountVector(rank_distribution(A, budget, workers), p=A.fs.p)
 
 
 def rank_distribution_B(B, budget=DEFAULT_BUDGET, workers=1):
@@ -349,88 +356,68 @@ def s_size_from_nu(nu, a, q):
 def class_number(table, budget=DEFAULT_BUDGET):
     """(k(G), |S(G)|). Field tables go through the rank route, modular
     tables through the dual route; k = |S| |Z| / |G'| either way."""
+    zorder, dorder = centre(table).order(), derived(table).order()
     if is_field(table.ring):
-        fs = table.ring
         A, B = _field_setup(table)
-        mu = rank_distribution_A(A, budget)
-        s = s_size_from_mu(mu.entries, B.nvars, fs.q)
-        zorder = fs.q ** (table.h - A.nvars)
-        dorder = fs.q**B.nvars
-        k = _exact_div(s * zorder, dorder)
-        return k, s
-    cc, ch = vectors_dual(table, budget)
-    k = cc.total()
-    zorder = centre(table).order()
-    dorder = derived(table).order()
-    s = _exact_div(k * dorder, zorder)
-    return k, s
+        s = s_size_from_mu(rank_distribution_A(A, budget).entries, B.nvars, table.ring.q)
+        return _exact_div(s * zorder, dorder), s
+    k = vectors_dual(table, budget)[0].total()
+    return k, _exact_div(k * dorder, zorder)
 
 
 # ---------------------------------------------------------------------------
 # dual route over Z/p^e (and GF(p), which every field table restricts to)
 
 
-def _length_census(gens, orders, forms, ring):
-    """{l: count} over the points x = sum_i t_i gens[i], 0 <= t_i <
-    orders[i], where |row span of sum_k x_k forms[k]| = p^l over Z/p^e.
-    The t_i are the mixed-radix digits of an index, taken _DUAL_CHUNK
-    points at a time."""
-    m, h = ring.m, forms.shape[0]
-    forms = forms[:, forms.any(axis=(0, 2))][:, :, forms.any(axis=(0, 1))]
-    _, R, C = forms.shape  # zero rows and columns add nothing to a span
-    G = np.array([[x % m for x in g] for g in gens], dtype=np.int64)
-    GK = G.reshape(len(gens), h) @ forms.reshape(h, R * C) % m  # forms at gens
-    strides = np.cumprod([1] + orders[:-1], dtype=np.int64)
-    total = prod(orders)
-    counts = np.zeros(ring.e * min(R, C) + 1, dtype=np.int64)
-    for start in range(0, total, _DUAL_CHUNK):
-        idx = np.arange(start, min(start + _DUAL_CHUNK, total), dtype=np.int64)
-        t = idx[:, None] // strides % np.array(orders, dtype=np.int64)
-        mats = lincomb(ring, t, GK).reshape(idx.size, R, C)
-        counts += np.bincount(batch_rank(mats, ring), minlength=counts.size)
-    return dict(enumerate(counts.tolist()))
-
-
-def vectors_dual(table, budget=DEFAULT_BUDGET):
+def vectors_dual(table, budget=DEFAULT_BUDGET, workers=1):
     """(cc, ch) by Theorem A over Z/p^e (see count_vectors), with
     B_omega = (omega[e_a, e_b]); |im B_omega| is the index of the radical
     of the form omega[., .] in g. A field table runs over GF(p) as
-    restrict_scalars gives it, where lengths over Z/p are ranks."""
+    restrict_scalars gives it, where lengths are ranks. Both sides are
+    point censuses (see _point_census) over Smith coordinates, so each
+    ranks one point per orbit of the units; workers shards them over
+    threads."""
     table = restrict_scalars(table)
-    R = ModRing(table.ring.p, 1) if is_field(table.ring) else table.ring
-    p, m, h = R.p, R.m, table.h
+    ring, h = table.ring, table.h
+    p, e = radix(ring)  # over GF(p) (1 = e) or Z/p^e
+    m = p**e
     _check_class(table)
     z = centre(table)
     dsub = derived(table)
     zorder = z.order()
     gorder = m**h
     quo_order = gorder // zorder
-    if quo_order + dsub.order() > budget:  # the points ranked
+    if quo_order + dsub.order() > budget:  # the points counted
         raise BudgetExceeded(
-            f"|g/z| + |g'^| = {quo_order} + {dsub.order()} exceed budget {budget}"
-        )
+            f"|g/z| + |g'^| = {quo_order} + {dsub.order()} exceed budget {budget}")
     if max(quo_order, dsub.order()) >= 1 << 63:
         raise BudgetExceeded("|g/z| or |g'^| does not fit a 64-bit point index")
     check_modulus(m, h)
-    L = structure_tensor(table)
 
-    # class side: ad_x has rows [x, e_j] = sum_i x_i L[i, j], over the coset
-    # representatives sum_i t_i Vinv_i of g/z, 0 <= t_i < d_i
-    dz, _, Vz = smith_mod(z.vectors, m, h)
+    # g/z is the sum of the Z/d_i on the Vinv_i, d_i > 1; v in g' has Smith
+    # coordinates (v V')_i, d'_i < m, and a character is w = sum_i c_i
+    # V'[:, i], c_i mod m / d'_i, with omega(v) = w . v. T[a, b, i] =
+    # [Vinv_a, Vinv_b] V'[:, i] holds ad_x, rows at the generators of g/z
+    # (z brackets to 0), and B_omega, rows and columns there (z lies in
+    # every radical).
+    dz, _, Vinv = smith_mod(z.vectors, m, h)
+    dd, V, _ = smith_mod(dsub.vectors, m, h)
     quo = [i for i, d in enumerate(dz) if d > 1]
-    cc_lengths = _length_census([Vz[i] for i in quo], [dz[i] for i in quo], L, R)
-
-    # character side: g' is the sum of the <d_i Vinv_i>, d_i < m, and v in
-    # g' has coordinates (v V)_i / d_i; the characters are the residue
-    # vectors w = sum_i c_i V[:, i], c_i mod m / d_i, with omega(v) = w . v
-    # and B_omega[a, b] = sum_k L[a, b, k] w_k
-    dd, Vd, _ = smith_mod(dsub.vectors, m, h)
     active = [i for i, d in enumerate(dd) if d != m]
-    ch_lengths = _length_census([[row[i] for row in Vd] for i in active],
-                                [m // dd[i] for i in active],
-                                L.transpose(2, 0, 1), R)
-    return count_vectors(cc_lengths, ch_lengths, zorder,
-                         _exact_div(gorder, dsub.order()), p)
+    G = np.array([Vinv[i] for i in quo], dtype=np.int64).reshape(-1, h)
+    T = np.tensordot(G, structure_tensor(table), 1) % m
+    T = np.tensordot(T, np.array(V, dtype=np.int64)[:, active], 1) % m
+    T = np.einsum("bj,ajk->abk", G, T) % m
+
+    log = {p**a: a for a in range(e + 1)}
+
+    def lengths(codes, orders):
+        exps = tuple(log[d] for d in orders)
+        return _point_census(LinearFormMatrix(ring, codes), workers, exps)
+
+    return count_vectors(lengths(T, [dz[i] for i in quo]),
+                         lengths(T.transpose(2, 0, 1), [m // dd[i] for i in active]),
+                         zorder, _exact_div(gorder, dsub.order()), p)
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,23 @@ def is_prime(n):
     return True
 
 
+def _root(n, f):
+    """floor(n^(1/f)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // f)
+    while (y := ((f - 1) * x + n // x ** (f - 1)) // f) < x:
+        x = y
+    return x
+
+
 def prime_power(q):
-    """(p, f) with q = p^f, f >= 1; ValueError unless q is a prime power."""
-    fac = factorize(q)
-    if len(fac) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return next(iter(fac.items()))
+    """(p, f) with q = p^f, f >= 1, else ValueError: p is the exact f-th
+    root of q that is_prime accepts, f from log2 q down, as is_prime
+    refuses a large q even where it is a power of a small prime."""
+    for f in range(q.bit_length() - 1, 0, -1) if q > 1 else ():
+        p = _root(q, f)
+        if p**f == q and is_prime(p):
+            return p, f
+    raise ValueError(f"{q} is not a prime power")
 
 
 # polynomials over F_p: tuples of ints, low degree first, no trailing zeros
@@ -173,19 +184,12 @@ class FieldSpec:
             raise ValueError(f"{n} is not in [0, {self.q})")
         if self.f == 1:
             return n
-        coords = []
-        for _ in range(self.f):
-            coords.append(n % self.p)
-            n //= self.p
-        return tuple(coords)
+        return tuple(n // self.p**k % self.p for k in range(self.f))
 
     def to_int(self, x):
         if self.f == 1:
             return x % self.p
-        n = 0
-        for c in reversed(x):
-            n = n * self.p + c
-        return n
+        return sum(c * self.p**k for k, c in enumerate(x))
 
     def embed(self, n):
         """Image of the integer n under Z -> GF(p^f)."""
@@ -269,13 +273,9 @@ def make_field(p, f=1):
     if f == 1:
         return FieldSpec(p, 1, None)
     for m in range(p**f):
-        digits = []
-        for _ in range(f):
-            digits.append(m % p)
-            m //= p
-        # digits[0] = a_0 ... digits[f-1] = a_{f-1}: iterating the integer
-        # ascending orders candidates by (a_{f-1}, ..., a_0) left to right
-        poly = tuple(digits) + (1,)
+        # a_i is base-p digit i of m: iterating the integer ascending orders
+        # candidates by (a_{f-1}, ..., a_0) left to right
+        poly = tuple(m // p**i % p for i in range(f)) + (1,)
         if _irreducible(poly, p):
             return FieldSpec(p, f, poly)
     raise AssertionError("no irreducible polynomial found")  # unreachable

@@ -20,7 +20,7 @@ Indices are 0-based throughout this module; the CLI's text format is 1-based.
 from __future__ import annotations
 
 from functools import wraps
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .field import FieldSpec, is_prime, make_field
@@ -312,10 +312,7 @@ class SubspaceBasis:
         """Cardinality of the spanned subgroup."""
         if self.orders is None:
             return self.ring.q ** len(self.vectors)
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     def __repr__(self):
         if self.orders is None:

@@ -155,6 +155,13 @@ def test_large_primes_are_tested_without_trial_division():
         parse_lie("ring p=1000000016000000063\ndim 1\n")  # 1000000007 * 1000000009
 
 
+def test_closed_forms_at_a_large_prime_need_no_factorization(capsys):
+    t0 = time.perf_counter()
+    assert run(["free", "-r", "2", "-c", "2", "-p", "100000000000031"]) == 0
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().out.endswith("k = 10000000000006300000000000991\n")
+
+
 def test_duplicate_pair_rejected_even_when_consistent():
     text = "ring p=5\ndim 3\nbracket 1 2 : 1 3\nbracket 2 1 : -1 3\n"
     with pytest.raises(DuplicateBracket) as ei:
@@ -351,6 +358,31 @@ def test_vectors_dual_modular(tmp_path, capsys):
     assert obj["class_vector"] == {"0": 9, "1": 24, "2": 72}
     assert obj["char_vector"] == {"0": 81, "1": 18, "2": 6}
     assert obj["k"] == 105
+
+
+def _routes_tables():
+    """The tables of the benchmark's routes workload, in the package's basis."""
+    from pgc import boston_isaacs_table, free_table, quadric_table
+
+    def heis(p, e):
+        return LieRing(ModRing(p, e), 3, {(0, 1): {2: 1}}, "heis")
+
+    return [heis(5, 3), heis(3, 4), heis(3, 3), free_table(3, 2, ModRing(3, 2)),
+            LieRing(ModRing(3, 3), 4, {(0, 1): {2: 1}, (0, 3): {2: 3}}, "fattened-heis"),
+            boston_isaacs_table(1, 3), free_table(2, 3, make_field(7)), quadric_table(3),
+            free_table(2, 2, make_field(3, 2))]
+
+
+def test_dual_route_threads_print_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # 64 matrices a block: every census but the smallest is dealt to both threads
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", 64)
+    for n, t in enumerate(_routes_tables()):
+        f = _write(tmp_path, emit_lie(t), f"{n}.lie")
+        out = []
+        for threads in ("1", "2"):
+            assert run(["vectors", f, "--json", "--method", "dual", "--threads", threads]) == 0
+            out.append(capsys.readouterr())
+        assert out[0] == out[1], t.name
 
 
 def test_vectors_method_restrictions(tmp_path, capsys):
@@ -668,6 +700,17 @@ def test_verify_extension_field_free_table(tmp_path, capsys):
     assert "MISMATCH" not in out
     assert "verify: 5 paths agree" in out
     assert "path closed" in out and "path dual       k = 89\n" in out
+
+
+def test_verify_skips_a_free_name_larger_than_the_table(tmp_path, capsys):
+    # f(400,2) has 80,200 dimensions; its closed forms are not evaluated
+    f = _write(tmp_path, HEIS5.replace("name heis", "name f(400,2)"))
+    t0 = time.perf_counter()
+    assert run(["verify", f]) == 0
+    assert time.perf_counter() - t0 < 1
+    out = capsys.readouterr().out
+    assert "path closed     skipped (f(400,2) has dimension 80200, the table 3)\n" in out
+    assert out.endswith("verify: 4 paths agree\n")
 
 
 @pytest.mark.parametrize("name", ["f(1,2)", "f(2,0)"])

@@ -5,8 +5,10 @@ import os
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pgc import (
@@ -19,11 +21,14 @@ from pgc import (
     build_commutator_matrices,
     free_table, boston_isaacs_table, poly_fit, QPolynomial,
 )
+import pgc.commat
 import pgc.enumctr
-from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision
+from pgc.commat import batch_rank, structure_tensor
+from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision, count_vectors
+from pgc.liecore import centre, derived, restrict_scalars, smith_mod
 from pgc.enumctr import _census_plan, _kernel_census, _kernel_levels, _point_census
 from conftest import (change_basis, heisenberg, dual_pool, field_pool, form_matrix,
-                      skew_form)
+                      modular_pool, skew_form)
 
 
 def test_heisenberg_rank_loci():
@@ -326,7 +331,7 @@ def test_oversized_dual_route_is_a_budget_error(monkeypatch):
     def kernel(*args):
         raise AssertionError("the kernel started")
 
-    monkeypatch.setattr(pgc.enumctr, "batch_rank", kernel)
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", kernel)
     # |g/z| = m^2 fits an int64, but sums of h = 3 products mod m do not
     with pytest.raises(BudgetExceeded, match="64-bit integers"):
         vectors_dual(heisenberg(ModRing(7, 11)), budget=10**28)
@@ -423,6 +428,100 @@ def test_matrix_and_dual_agree_on_every_field():
         cc_d, ch_d = vectors_dual(t)
         assert dict(cc_m.items()) == dict(cc_d.items()), t.name
         assert dict(ch_m.items()) == dict(ch_d.items()), t.name
+
+
+def _lengths_of_every_point(gens, orders, forms, ring):
+    """{l: #{x = sum_i t_i gens[i], 0 <= t_i < orders[i] : |row span of
+    sum_k x_k forms[k]| = p^l}}, every point ranked: the dual route's
+    census before it ranked one point per orbit of the units."""
+    m, h = ring.m, forms.shape[0]
+    G = np.array(gens, dtype=np.int64).reshape(len(gens), h) % m
+    t = np.array(list(itertools.product(*map(range, orders))), dtype=np.int64)
+    counts = Counter()
+    for chunk in np.array_split(t.reshape(-1, len(gens)), -(-len(t) // 4096)):
+        mats = (chunk @ G % m) @ forms.reshape(h, -1) % m
+        counts.update(batch_rank(mats.reshape(len(chunk), h, h), ring).tolist())
+    return counts
+
+
+def _dual_by_every_point(table):
+    """(cc, ch) of vectors_dual from _lengths_of_every_point over coset
+    representatives of g/z and the characters of g', with no restriction
+    to Smith coordinates; GF(p) runs as Z/p^1."""
+    table = restrict_scalars(table)
+    p, h = table.ring.p, table.h
+    ring = table.ring if isinstance(table.ring, ModRing) else ModRing(p, 1)
+    m, L = ring.m, structure_tensor(table)
+    z, d = centre(table), derived(table)
+    dz, _, Vinv = smith_mod(z.vectors, m, h)
+    dd, V, _ = smith_mod(d.vectors, m, h)
+    quo = [i for i, x in enumerate(dz) if x > 1]
+    active = [i for i, x in enumerate(dd) if x != m]
+    cls = _lengths_of_every_point([Vinv[i] for i in quo], [dz[i] for i in quo], L, ring)
+    chs = _lengths_of_every_point([[row[i] for row in V] for i in active],
+                                  [m // dd[i] for i in active], L.transpose(2, 0, 1), ring)
+    return count_vectors(cls, chs, z.order(), m**h // d.order(), p)
+
+
+def _mixed_modules():
+    """Tables over Z/27 whose g/z and g' are sums of cyclic groups of
+    different orders: Z/9 + Z/27^2 and Z/27 + Z/9 for the first, Z/9^2
+    and Z/9 for the second."""
+    R = ModRing(3, 3)
+    return [LieRing(R, 5, {(0, 1): {3: 1}, (0, 2): {4: 3}, (1, 2): {4: 9}}, "mixed"),
+            LieRing(R, 3, {(0, 1): {2: 3}}, "heisenberg 3")]
+
+
+def test_unit_orbit_census_equals_every_point():
+    tables = modular_pool() + _mixed_modules()
+    rng = random.Random(7)
+    for t in list(tables):
+        m = t.ring.m
+        tables.append(change_basis(t, m, [(*rng.sample(range(t.h), 2), rng.randrange(1, m))
+                                          for _ in range(4 * t.h)]))
+    for t in tables + dual_pool():
+        assert vectors_dual(t) == _dual_by_every_point(t), t.name
+
+
+def _matrices_ranked(table, monkeypatch):
+    """[(matrices, rows, cols)] of each batch_rank call of vectors_dual."""
+    calls, original = [], pgc.commat.batch_rank
+
+    def counted(M, ring):
+        calls.append(M.shape)
+        return original(M, ring)
+
+    monkeypatch.setattr(pgc.commat, "batch_rank", counted)
+    vectors_dual(table)
+    monkeypatch.setattr(pgc.commat, "batch_rank", original)
+    return calls
+
+
+def test_dual_route_ranks_one_point_per_unit_orbit(monkeypatch):
+    # the cyclic subgroups of g/z resp. g'^ but the origins, which are
+    # counted unranked: (Z/125)^2 has 6 + 30 + 150 of them, of orders 5,
+    # 25 and 125, and Z/125 one of each order (15,625 + 125 points)
+    heis = [LieRing(ModRing(p, e), 3, {(0, 1): {2: 1}}, "heis") for p, e in ((5, 3), (3, 4))]
+    for t, want in [(heis[0], [(186, 2, 1), (3, 2, 2)]),
+                    (heis[1], [(160, 2, 1), (4, 2, 2)]),
+                    # (Z/9)^3: 13 + 117 on both sides (729 + 729 points)
+                    (free_table(3, 2, ModRing(3, 2)), [(130, 3, 3), (130, 3, 3)]),
+                    # the monic points of F_3^6 and F_3^3 (729 + 27 points)
+                    (boston_isaacs_table(1, 3), [(364, 6, 3), (13, 6, 6)])]:
+        assert _matrices_ranked(t, monkeypatch) == want, t.name
+
+
+def test_dense_basis_ranks_at_the_smith_generators(monkeypatch):
+    # f(3,2)/Z25 has z = g' = (Z/25)^3: ad_x has rows at the 3 generators
+    # of g/z and columns at the 3 Smith columns of g', and B_omega rows and
+    # columns at the generators of g/z, however dense the basis
+    t = free_table(3, 2, ModRing(5, 2))
+    rng = random.Random(3)
+    dense = change_basis(t, 25, [(*rng.sample(range(t.h), 2), rng.randrange(1, 25))
+                                 for _ in range(6 * t.h)])
+    assert sum(1 for row in dense.lam.values() for c in row.values() if c) > 30
+    assert {shape[1:] for shape in _matrices_ranked(dense, monkeypatch)} == {(3, 3)}
+    assert vectors_dual(dense) == vectors_dual(t)
 
 
 def test_fibration_counts_agree():

@@ -40,6 +40,26 @@ def test_factorize_and_prime_power():
             prime_power(q)
 
 
+def test_prime_power_takes_integer_roots():
+    # the factorization of q is never needed: p is an exact f-th root of q
+    assert [prime_power(q) for q in (3**60, 2**61 - 1, (2**61 - 1) ** 2)] == \
+        [(3, 60), (2**61 - 1, 1), (2**61 - 1, 2)]
+    assert [q for q in range(3000) if _is_prime_power(q)] == \
+        [q for q in range(3000) if len(factorize(q)) == 1]
+    for q in (12, 36, 1000000007 * 1000000009):
+        with pytest.raises(ValueError):
+            prime_power(q)
+
+
+def _is_prime_power(q):
+    try:
+        p, f = prime_power(q)
+    except ValueError:
+        return False
+    assert p**f == q and factorize(p) == {p: 1}
+    return True
+
+
 def test_make_field_rejects_bad_parameters():
     with pytest.raises(ValueError):
         make_field(4)
