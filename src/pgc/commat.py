@@ -9,8 +9,8 @@ centre, and k over the echelon basis of g'. Rank loci of A give class
 sizes, of B character degrees. Censuses walk the reduced echelon bases of
 subspaces (echelon_bases, echelon_block); its 1-dimensional level is one
 generator per cyclic subgroup of a sum of cyclic p-groups, the monic points
-of F_q^n over a field. Over Z/p^e the same batched kernel returns the
-length of the row span, for the dual route's image sizes.
+of F_q^n over a field. One elimination loop, batch_rank, gives ranks over
+GF(q) and row-span lengths over Z/p^e, the dual route's image sizes.
 """
 
 from __future__ import annotations
@@ -202,82 +202,85 @@ def _extension_arith(fs):
     return axpy, mul, ninv
 
 
+def _power(u, k, m):
+    """u^k mod m entrywise, by square and multiply."""
+    out = np.ones_like(u)
+    while k:
+        if k & 1:
+            out = out * u % m
+        u = u * u % m
+        k >>= 1
+    return out
+
+
 def batch_rank(M, ring):
     """Ranks of a batch of matrices over GF(q), or over Z/p^e the length l
-    of each row span (|span| = p^l; the rank when e = 1). M has shape
-    (N, R, C), int64, entries coded by fs.to_int resp. residues mod p^e.
-    Over GF(q) M is left as it is; over Z/p^e it is overwritten.
+    of each row span (|span| = p^l). M (N, R, C), int64, holds fs.to_int
+    codes resp. residues mod p^e, and is left as it is.
 
-    Over GF(q) the elimination runs on a copy laid out (R, C, N), the batch
-    axis innermost; the matrices are transposed first if that leaves fewer
-    columns, as the work grows with R C^2 and the rank stays. At each
-    column every lane takes its first nonzero row as the pivot row s,
-    scaled to s[col] = -1, and adds (column col) times s to every row.
-    That clears the pivot row itself, and rows pivoted earlier are zero
-    right of their column, so no row is picked twice and no rows are
-    swapped; a lane with no pivot adds 0. Over GF(p) the entries stay
-    unreduced integers, growing by at most (p - 1)^2 a column (int32 while
-    C (p - 1)^2 + p fits), and only the pivot column and the pivot row
-    are reduced mod p, where they are read."""
-    if isinstance(ring, ModRing):
-        check_modulus(ring.m)
-        return _batch_length(M, ring.p, ring.e)
-    fs = ring
+    One loop serves every ring, on a copy laid out (R, C, N), the batch
+    axis innermost, transposed first if that leaves fewer columns (the
+    work grows with R C^2). At column col every lane picks a pivot row y
+    and adds x_col (-y / y_col) to each row x, right of col (0 without a
+    pivot). Over a field y is the first nonzero row and is cleared itself;
+    rows pivoted earlier are zero right of their column, so no rows are
+    swapped. Over Z/p^e (m = p^e) y_col = p^v u, u a unit, has least
+    valuation, so x gets the exact (x_col / p^v) (-u^-1 y), and y's row
+    takes the coefficient u (1 - p^(e-v)), leaving p^(e-v) y: t y lies in
+    the span of the new rows exactly when p^(e-v) | t, so the column adds
+    e - v to the length. At e = 1, where p y = 0, the valuation steps are
+    skipped. -u^-1 is read from a table over GF(q), and over Z/p^e it is
+    -u^(phi(m) - 1) by square and multiply.
+
+    Over GF(p) and Z/p^e the entries stay unreduced integers, growing by
+    at most (m - 1)^2 a column (m = p over GF(p)), and only the pivot
+    column and pivot row are reduced mod m, where they are read: int32
+    while C (m - 1)^2 + m < 2^31, and check_modulus(m, min(R, C)) bounds
+    them in int64. GF(p^f) keeps its log/antilog axpy."""
     N, R, C = M.shape
-    ranks = np.zeros(N, dtype=np.int64)
-    if R == 0:
-        return ranks
+    r, e = radix(ring)
+    m = r**e
+    if isinstance(ring, ModRing):  # phi(m) = m (1 - 1/p)
+        lazy, ninv = True, lambda u: -_power(u, m // r * (r - 1) - 1, m) % m
+    else:
+        axpy, mul, table = _arith(ring)
+        lazy, ninv = ring.f == 1, table.__getitem__
+    check_modulus(m, min(R, C))
     M = M.transpose(1, 2, 0) if R >= C else M.transpose(2, 1, 0)
     R, C, _ = M.shape
-    axpy, mul, ninv = _arith(fs)
-    p, lazy = fs.p, fs.f == 1
-    dtype = np.int32 if lazy and C * (p - 1) ** 2 + p < 1 << 31 else np.int64
+    dtype = np.int32 if lazy and C * (m - 1) ** 2 + m < 1 << 31 else np.int64
     work = np.array(M, dtype=dtype, order="C")
-    flat = work.reshape(-1)
-    lanes = np.arange(N)
+    flat, ranks = work.reshape(-1), np.zeros(N, dtype=np.int64)
+    lanes, pw = np.arange(N), r ** np.arange(e + 1)
     # flat index of entry (0, c, n) is c N + n; of row r, r C N more
     grid = np.arange(C)[:, None] * N + lanes
     for col in range(C):
         colv = work[:, col]
         if lazy:
-            colv -= colv // p * p
-        piv = (colv != 0).argmax(axis=0)
-        pv = colv[piv, lanes]
-        ranks += pv != 0
+            colv -= colv // m * m
+        if e == 1:
+            piv = (colv != 0).argmax(axis=0)
+            u = colv[piv, lanes]
+            ranks += u != 0
+        else:
+            g = np.gcd(colv, m)  # p^v, or m at a zero entry
+            piv = g.argmin(axis=0)
+            pv = g[piv, lanes]
+            ranks += e - np.searchsorted(pw, pv)
+            colv //= pv
+            u = colv[piv, lanes]
+            colv[piv, lanes] = u * (1 - m // pv) % m
         if col + 1 == C:
             break
         s = flat[grid[col + 1 :] + piv * (C * N)]
         if lazy:
-            s -= s // p * p
-            s *= ninv[pv]
-            s -= s // p * p
+            s -= s // m * m
+            s *= ninv(u)
+            s -= s // m * m
             work[:, col + 1 :] += colv[:, None] * s
         else:
-            work[:, col + 1 :] = axpy(work[:, col + 1 :], colv[:, None], mul(s, ninv[pv]))
+            work[:, col + 1 :] = axpy(work[:, col + 1 :], colv[:, None], mul(s, ninv(u)))
     return ranks
-
-
-def _batch_length(M, p, e):
-    """Valuation-pivot elimination over Z/p^e. Each step takes an entry
-    p^v u of least valuation in the whole matrix (u a unit) and replaces
-    every row x by u x - w y, where y is the pivot row and p^v w the entry
-    of x in the pivot's column. That clears the column, and the pivot row
-    itself. Every entry has valuation >= v, so y spanned a direct summand
-    of order p^(e-v); a zero matrix gives v = e."""
-    m = p**e
-    N, R, C = M.shape
-    length = np.zeros(N, dtype=np.int64)
-    mats, pw = np.arange(N), p ** np.arange(e + 1)
-    for _ in range(min(R, C)):
-        g = np.gcd(M.reshape(N, R * C), m)  # p^v, or m at a zero entry
-        k = g.argmin(axis=1)
-        pv, (r, c) = g[mats, k], np.divmod(k, C)
-        length += e - np.searchsorted(pw, pv)
-        u, w, y = M[mats, r, c] // pv, M[mats, :, c] // pv[:, None], M[mats, r]
-        M *= u[:, None, None]
-        M -= w[:, :, None] * y[:, None, :]
-        M %= m
-    return length
 
 
 def lincomb(ring, X, K):

@@ -319,11 +319,6 @@ def _check_class(table):
         raise ClassTooLarge(f"nilpotency class {c} >= p = {p}")
 
 
-def _field_setup(table):
-    _check_class(table)
-    return build_commutator_matrices(table)
-
-
 def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     """(cc, ch) over GF(p^f) by count_vectors, an image of rank i having
     p^(f i) elements. workers shards each census over threads (see
@@ -332,7 +327,8 @@ def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     fs = table.ring
     if not is_field(fs):
         raise ValueError("vectors_theoremB requires a field table")
-    A, B = _field_setup(table)
+    _check_class(table)
+    A, B = build_commutator_matrices(table)
     check_points(fs, A.nvars, budget)
     check_points(fs, B.nvars, budget)
     q, f, h = fs.q, fs.f, table.h
@@ -358,7 +354,8 @@ def class_number(table, budget=DEFAULT_BUDGET):
     tables through the dual route; k = |S| |Z| / |G'| either way."""
     zorder, dorder = centre(table).order(), derived(table).order()
     if is_field(table.ring):
-        A, B = _field_setup(table)
+        _check_class(table)
+        A, B = build_commutator_matrices(table)
         s = s_size_from_mu(rank_distribution_A(A, budget).entries, B.nvars, table.ring.q)
         return _exact_div(s * zorder, dorder), s
     k = vectors_dual(table, budget)[0].total()

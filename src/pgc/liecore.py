@@ -248,12 +248,12 @@ def smith_mod(vectors, m, h):
     the vectors, m = p^e: U A V = diag(d) mod m for the matrix A of the
     vectors, with U and V invertible mod m and Vinv V = I mod m.
 
-    Each step takes an entry of least valuation, keyed by gcd(x, m) as in
-    commat._batch_length, moves it to the diagonal, scales its row by the
-    inverse of its unit part and clears its row and column. Every other
-    entry is then a multiple of the pivot, so each d_i is a power of p,
-    d_i | d_{i+1}, and d_i = m where M has no summand. V and Vinv are
-    residues mod m.
+    Each step moves an entry of least valuation gcd(x, m) in the whole
+    rest (commat.batch_rank pivots within a column) to the diagonal,
+    scales its row by the inverse of its unit part and clears its row and
+    column. Every other entry is then a multiple of the pivot, so each d_i
+    is a power of p, d_i | d_{i+1}, and d_i = m where M has no summand.
+    V and Vinv are residues mod m.
 
     M is the direct sum of the <d_i Vinv_i> (rows of Vinv), of orders
     m / d_i; v in M has coordinates (v V)_i / d_i. The quotient

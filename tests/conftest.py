@@ -101,3 +101,31 @@ def change_basis(table, m, ops):
             brackets[(i, j)] = {l: sum(v[k] * Pinv[k][l] for k in range(h)) % m
                                 for l in range(h)}
     return LieRing(table.ring, h, brackets)
+
+
+def scaled_free_quotient(r, c, ring, shift, line):
+    """f(r,c) over Z/p^e on the basis p^a(w) e_i, e_i of weight w and
+    a(w) = shift[w - 1], modulo the line of the top layer spanned by
+    `line`, which needs a unit coordinate j.
+
+    lambda_ij^k becomes p^(a(w_i) + a(w_j) - a(w_k)) lambda_ij^k, so a must
+    be subadditive; a c-fold bracket of generators gains p^(c a(1) - a(c)),
+    so the class stays c while that is below e. The top layer is central,
+    so the line is an ideal; the quotient keeps the other top coordinates
+    t != j as x_t - (x_j / line_j) line_t."""
+    p, m = ring.p, ring.m
+    free = free_table(r, c, ring)
+    a = [shift[w] for w, layer in enumerate(free.hall.layers) for _ in layer]
+    low = free.h - len(line)
+    j = next(t for t, x in enumerate(line) if x % p)
+    inv = pow(line[j], -1, m)
+    brackets = {}
+    for (i1, i2), row in free.lam.items():
+        row = {k: v * p ** (a[i1] + a[i2] - a[k]) for k, v in row.items()}
+        image = {k: v for k, v in row.items() if k < low}
+        xj = row.get(low + j, 0) * inv
+        for t, x in enumerate(line):
+            if t != j:
+                image[low + t - (t > j)] = row.get(low + t, 0) - xj * x
+        brackets[(i1, i2)] = image
+    return LieRing(ring, free.h - 1, brackets, f"f({r},{c})/{ring} scaled by {shift}")

@@ -17,7 +17,7 @@ from pgc import (
     free_table, quadric_table, boston_isaacs_table,
 )
 from pgc.commat import projective_lines, structure_tensor
-from pgc.liecore import is_field
+from pgc.liecore import is_field, smith_mod
 from conftest import field_pool, form_matrix, heisenberg, modular_pool
 
 
@@ -184,16 +184,38 @@ def test_batch_rank_over_z_p_is_the_field_rank(p):
     assert (batch_rank(codes.copy(), ModRing(p, 1)) == batch_rank(codes, fs)).all()
 
 
-def test_oversized_modulus_is_a_budget_error(monkeypatch):
-    def kernel(*args):
-        raise AssertionError("the kernel started")
-
-    monkeypatch.setattr(pgc.commat, "_batch_length", kernel)
+def test_oversized_modulus_is_a_budget_error():
     M = np.zeros((1, 2, 2), dtype=np.int64)
     with pytest.raises(BudgetExceeded, match="64-bit"):
         batch_rank(M, ModRing(2, 32))  # (2^32 - 1)^2 overflows int64
-    with pytest.raises(AssertionError, match="kernel started"):
-        batch_rank(M, ModRing(2, 31))
+    # 2 (2^31 - 1)^2 + 2^31 fits int64: the kernel runs there
+    M = np.array([[[1, 0], [0, 2**30]], [[2, 1], [0, 0]], [[2**30, 3], [2**29, 5]]])
+    assert batch_rank(M, ModRing(2, 31)).tolist() == [32, 31, 33]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_pivot_row_keeps_its_multiple_of_order_p(p):
+    # The span of (p, 1) has order p^2; the column pivot p leaves p (p, 1)
+    # = (0, p) in its row, which the second column counts. A 1 x 2 shape
+    # would be transposed and pivot on the 1.
+    M = np.array([[[p, 1], [0, 0]]])
+    assert batch_rank(M, ModRing(p, 2)).tolist() == [2]
+
+
+@pytest.mark.parametrize("p,e", [(2, 3), (5, 2), (3, 3), (5, 3)])
+def test_batch_rank_modular_matches_smith_form(p, e):
+    m = p**e
+    rng, log = np.random.default_rng(m), {p**k: k for k in range(e + 1)}
+    for R, C in [(5, 5), (6, 6), (4, 8)]:
+        # entries carry random powers of p; half the batch has rank <= k
+        M = rng.integers(0, m, (60, R, C)) * p ** rng.integers(0, e + 1, (60, R, C)) % m
+        for n, k in enumerate(rng.integers(0, min(R, C) + 1, 30)):
+            M[n] = (rng.integers(0, m, (R, k)) * p ** rng.integers(0, e + 1, (R, k))
+                    @ rng.integers(0, m, (k, C)) % m)
+        # |span| = prod m / d_i over the Smith form d of the rows
+        want = [sum(e - log[d] for d in smith_mod(mat.tolist(), m, C)[0]) for mat in M]
+        assert batch_rank(M, ModRing(p, e)).tolist() == want, (R, C)
+        assert len(set(want)) >= 4
 
 
 def test_pfaffian_2x2_and_4x4():

@@ -24,10 +24,11 @@ from pgc import (
     star, star_inverse,
 )
 from pgc.enumctr import _kernel_census, _point_census
-from pgc.liecore import smith_mod, span_mod
+from pgc.freenil import witt
+from pgc.liecore import nilpotency_class, smith_mod, span_mod
 from pgc.lazard import _mat_mul
 
-from conftest import change_basis, form_matrix, skew_form
+from conftest import change_basis, form_matrix, scaled_free_quotient, skew_form
 from test_liecore import _generated, _identity, _matmul_mod
 
 N_BILINEAR = 400
@@ -41,10 +42,11 @@ N_EXTENSION_ORACLE = 30
 N_FREE_QUOTIENTS = 40
 N_KERNEL_CENSUS = 100
 N_SKEW_CENSUS = 100
+N_SCALED_QUOTIENTS = 12
 RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN + N_BCH_MATRIX
                       + N_STAR_ASSOC + N_CLASS2_ROUTES + N_SMITH_CLOSURE
                       + N_EXTENSION_ORACLE + N_FREE_QUOTIENTS + N_KERNEL_CENSUS
-                      + N_SKEW_CENSUS)
+                      + N_SKEW_CENSUS + N_SCALED_QUOTIENTS)
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -317,6 +319,49 @@ def test_routes_agree_on_free_quotients(shape, data):
     assert cc == conjugacy_census(table)
     assert ch == coadjoint_census(table)
     assert cc.mass(1) == ch.mass(2) == table.ring.q ** table.h
+
+
+@st.composite
+def _scaled_quotient(draw):
+    """(table, base change ops, m, c) for a quotient of class c = 3 or 4
+    of f(r,c) over Z/p^e (see scaled_free_quotient). The shift is
+    a(w) = w (e - 1) - d(w) with d superadditive, d(1) = 0 and
+    d(w) <= (e - 1)(w - 1) / (c - 1), so a is subadditive, nonnegative and
+    c a(1) - a(c) = d(c) < e; the line has a unit coordinate."""
+    r, c, p, e = draw(st.sampled_from([(2, 3, 5, 2), (2, 3, 7, 2), (2, 3, 5, 3),
+                                       (2, 4, 5, 2)]))
+    m = p**e
+    d = [0]
+    for w in range(2, c + 1):
+        lo = max(d[x - 1] + d[w - x - 1] for x in range(1, w))
+        d.append(draw(st.integers(lo, (e - 1) * (w - 1) // (c - 1))))
+    top = witt(r, c)
+    line = draw(st.lists(st.integers(0, m - 1), min_size=top, max_size=top)
+                .filter(lambda v: any(x % p for x in v)))
+    table = scaled_free_quotient(r, c, ModRing(p, e),
+                                 [w * (e - 1) - dw for w, dw in enumerate(d, 1)], line)
+    h = table.h
+    ops = [(*draw(st.permutations(range(h)))[:2], draw(st.integers(1, m - 1)))
+           for _ in range(draw(st.integers(1, 2 * h)))]
+    return table, ops, m, c
+
+
+@settings(max_examples=N_SCALED_QUOTIENTS, **_SETTINGS)
+@given(_scaled_quotient())
+def test_dual_route_on_scaled_free_quotients(case):
+    # Z/p^e tables of class 3 and 4 whose constants carry powers of p: the
+    # oracle checks the dual route up to 10^6 elements, a base change past it
+    table, ops, m, c = case
+    validate(table)
+    assert nilpotency_class(table) == c
+    cc, ch = vectors_dual(table)
+    assert cc.mass(1) == ch.mass(2) == m**table.h
+    assert cc.total() == ch.total()
+    if m**table.h <= 10**6:
+        assert cc == conjugacy_census(table)
+        assert ch == coadjoint_census(table)
+    else:
+        assert (cc, ch) == vectors_dual(change_basis(table, m, ops))
 
 
 def test_random_case_budget_is_large():
