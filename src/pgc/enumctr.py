@@ -216,24 +216,28 @@ _BLOCK_WORK = 1 << 13
 
 
 @lru_cache(maxsize=None)
-def _kernel_levels(q, C, skew):
-    """(levels, solve) of the kernel census with C <= R columns over GF(q).
-    g(d) = #{x : dim ker M(x) = d} is 0 off the support d in 0..C (C - d
-    even if M is skew). levels are the cheapest k whose S_k = sum_d g(d)
-    [d choose k]_q, with S_0, make a square invertible system there: by
-    stacks ranked, [C choose k]_q k, each k whose row is independent of
-    those taken (a matroid, so greedy costs least). Integer Gauss-Jordan
-    gives g(d) = (c . S) / p for (d, p, c) in solve."""
+def _kernel_levels(q, C, skew, known=()):
+    """(levels, solve) of the kernel census with C <= R columns over GF(q),
+    given S_k for the k in known. g(d) = #{x : dim ker M(x) = d} is 0 off
+    the support d in 0..C (C - d even if M is skew). levels are the
+    cheapest k whose S_k = sum_d g(d) [d choose k]_q, with S_0 and the
+    known S_k (which cost nothing, so are taken first), make a square
+    invertible system there: by stacks ranked, [C choose k]_q k, each k
+    whose row is independent of those taken (a matroid, so greedy costs
+    least). Integer Gauss-Jordan gives g(d) = (c . S) / p for (d, p, c) in
+    solve, S = (S_0, the S_k of known, the S_k of levels)."""
     def primitive(row):
         g = gcd(*row)
         return tuple(x // g for x in row)
 
     support = [d for d in range(C + 1) if not skew or (C - d) % 2 == 0]
     m = len(support)
+    rest = sorted(set(range(1, C + 1)) - set(known),
+                  key=lambda k: (_qbinom(C, k, q) * k, k))
     taken, basis = [], {}  # pivot column -> row
-    for k in [0] + sorted(range(1, C + 1), key=lambda k: (_qbinom(C, k, q) * k, k)):
+    for k in [0, *known, *rest]:
         row = [_qbinom(d, k, q) for d in support]
-        row += [int(i == len(taken)) for i in range(m)]  # S_k's place in S
+        row += [int(i == len(taken)) for i in range(m)]  # S_k's place in taken
         for j, b in basis.items():
             row = [x * b[j] - row[j] * y for x, y in zip(row, b)]
         j = next((j for j in range(m) if row[j]), None)
@@ -244,37 +248,45 @@ def _kernel_levels(q, C, skew):
             taken.append(k)
     if len(taken) < m:
         raise InexactDivision(f"levels {taken} do not determine g on {support}")
-    return tuple(taken[1:]), tuple((support[j], b[j], b[m:]) for j, b in basis.items())
+    levels = tuple(k for k in taken[1:] if k not in known)
+    place = {k: m + i for i, k in enumerate(taken)}  # S_k's column in a row
+    S = (0, *known, *levels)
+    return levels, tuple((support[j], b[j],
+                          tuple(b[place[k]] if k in place else 0 for k in S))
+                         for j, b in basis.items())
 
 
-def _census_plan(q, n, R, C, skew):
+def _census_plan(q, n, R, C, skew, known=()):
     """Levels of the kernel census of an R x C matrix in n variables over
-    GF(q), or None if the point census costs less: batch_rank work plus
-    _BLOCK_WORK a block. Points: (q^n - 1)/(q - 1) R x C matrices in n
-    blocks. Level k: [C' choose k]_q stacks k R' x n in comb(C', k) blocks,
-    C' = min(R, C), R' = max; and one block more for the solve."""
+    GF(q), given S_k for the k in known, or None if the point census costs
+    less: batch_rank work plus _BLOCK_WORK a block. Points:
+    (q^n - 1)/(q - 1) R x C matrices in n blocks. Level k walked:
+    [C' choose k]_q stacks k R' x n in comb(C', k) blocks, C' = min(R, C),
+    R' = max; and one block more for the solve."""
     points = (q**n - 1) // (q - 1) * R * C * C + n * _BLOCK_WORK
     R, C = max(R, C), min(R, C)
-    levels = _kernel_levels(q, C, skew)[0]
+    levels = _kernel_levels(q, C, skew, known)[0]
     kernel = _BLOCK_WORK + sum(_qbinom(C, k, q) * k * R * n * n
                                + comb(C, k) * _BLOCK_WORK for k in levels)
     return levels if kernel < points else None
 
 
-def _kernel_census(M, workers):
+def _kernel_census(M, workers, known=None):
     """Rank counts from the subspaces W of F_q^C, M transposed to C =
     min(R, C) columns. {x : W <= ker M(x)} = ker M_W (see stacked_ranks),
     so S_k = sum_{dim W = k} q^(n - rk M_W) = sum_d g(d) [d choose k]_q,
-    where g(d) counts the x of rank C - d, and S_0 = q^n. g is solved for
-    exactly from the levels of _kernel_levels. The S_k are Python ints:
-    they overflow int64 long before q^n does."""
+    where g(d) counts the x of rank C - d, and S_0 = q^n. known maps k to
+    an S_k found elsewhere, which is read and not walked; g is solved for
+    exactly from it and the levels of _kernel_levels. The S_k are Python
+    ints: they overflow int64 long before q^n does."""
     n, q = M.nvars, M.fs.q
+    known = known or {}
     codes = M.codes if M.rows >= M.cols else M.codes.transpose(0, 2, 1)
     C = codes.shape[2]
-    levels, solve = _kernel_levels(q, C, M.skew)
+    levels, solve = _kernel_levels(q, C, M.skew, tuple(known))
     counts = _walk(M, codes, (1,) * C, levels, workers)
-    S = [q**n] + [sum(c * q ** (n - r) for r, c in enumerate(row))
-                  for row in counts.tolist()]
+    S = [q**n, *known.values()] + [sum(c * q ** (n - r) for r, c in enumerate(row))
+                                   for row in counts.tolist()]
     g = {d: divmod(sum(c * s for c, s in zip(cs, S)), p) for d, p, cs in solve}
     # off the origin, the rank is constant on the q - 1 nonzero points of a line
     if any(r or x < 0 or (x - (d == C)) % (q - 1) for d, (x, r) in g.items()):
@@ -282,13 +294,15 @@ def _kernel_census(M, workers):
     return {C - d: x for d, (x, _) in sorted(g.items(), reverse=True) if x}
 
 
-def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1):
+def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1, known=None):
     """{rank: #points x in F_q^nvars with rk M(x) = rank}, by the census
-    _census_plan rates cheaper. workers shards it over threads; the result
-    does not depend on workers."""
+    _census_plan rates cheaper; the kernel census reads the S_k of known
+    (see _kernel_census). workers shards it over threads; the result does
+    not depend on workers."""
     check_points(M.fs, M.nvars, budget)
-    if _census_plan(M.fs.q, M.nvars, M.rows, M.cols, M.skew) is not None:
-        return _kernel_census(M, workers)
+    levels = _census_plan(M.fs.q, M.nvars, M.rows, M.cols, M.skew, tuple(known or ()))
+    if levels is not None:
+        return _kernel_census(M, workers, known)
     return _point_census(M, workers)
 
 
@@ -297,9 +311,10 @@ def rank_distribution_A(A, budget=DEFAULT_BUDGET, workers=1):
     return CountVector(rank_distribution(A, budget, workers), p=A.fs.p)
 
 
-def rank_distribution_B(B, budget=DEFAULT_BUDGET, workers=1):
-    """nu[i] = #{y in F_q^b : rk B(y) = 2i}; skew ranks are even."""
-    raw = rank_distribution(B, budget, workers)
+def rank_distribution_B(B, budget=DEFAULT_BUDGET, workers=1, known=None):
+    """nu[i] = #{y in F_q^b : rk B(y) = 2i}; skew ranks are even. known
+    as for rank_distribution."""
+    raw = rank_distribution(B, budget, workers, known)
     nu = {}
     for r, n in raw.items():
         if r % 2:
@@ -323,7 +338,11 @@ def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     """(cc, ch) over GF(p^f) by count_vectors, an image of rank i having
     p^(f i) elements. workers shards each census over threads (see
     rank_distribution). Both budgets are checked before either census
-    starts."""
+    starts. A's census is taken first, and it gives B's kernel census its
+    level 1: the stack of B at W = <w> is A(w), so S_1 = sum over the lines
+    <x> of F_q^a of q^(b - rk A(x)) = (|S(G)| - q^b) / (q - 1), with |S(G)|
+    = s_size_from_mu. So each A(x) is ranked once, and the class and
+    character totals agree by construction."""
     fs = table.ring
     if not is_field(fs):
         raise ValueError("vectors_theoremB requires a field table")
@@ -333,7 +352,8 @@ def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     check_points(fs, B.nvars, budget)
     q, f, h = fs.q, fs.f, table.h
     mu = rank_distribution_A(A, budget, workers)
-    nu = rank_distribution_B(B, budget, workers)
+    level1 = _exact_div(s_size_from_mu(mu.entries, B.nvars, q) - q**B.nvars, q - 1)
+    nu = rank_distribution_B(B, budget, workers, {1: level1})
     return count_vectors({f * i: n for i, n in mu.items()},
                          {f * 2 * i: n for i, n in nu.items()},
                          q ** (h - A.nvars), q ** (h - B.nvars), fs.p)

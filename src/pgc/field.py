@@ -152,6 +152,8 @@ class FieldSpec:
         self.f = f
         self.q = p**f
         self.modulus = modulus  # None when f = 1, else tuple of f+1 coeffs, monic
+        self._zero = 0 if f == 1 else (0,) * f
+        self._one = 1 if f == 1 else (1,) + (0,) * (f - 1)
         if f > 1:
             # t^f = -(m_0 + m_1 t + ... + m_{f-1} t^{f-1})
             self._red = tuple((-c) % p for c in modulus[:f])
@@ -173,10 +175,10 @@ class FieldSpec:
     # -- element encoding ------------------------------------------------
 
     def zero(self):
-        return 0 if self.f == 1 else (0,) * self.f
+        return self._zero
 
     def one(self):
-        return 1 if self.f == 1 else (1,) + (0,) * (self.f - 1)
+        return self._one
 
     def from_int(self, n):
         """n in [0, q): base-p digits, low degree first."""
@@ -238,14 +240,14 @@ class FieldSpec:
         return r
 
     def inv(self, x):
-        if x == self.zero():
+        if x == self._zero:
             raise ZeroDivisionError("inversion of zero field element")
         if self.f == 1:
             return pow(x, self.p - 2, self.p)
         return self.power(x, self.q - 2)
 
     def is_zero(self, x):
-        return x == self.zero()
+        return x == self._zero
 
     # -- enumeration -----------------------------------------------------
 

@@ -287,6 +287,73 @@ def test_skew_census_walks_the_fewest_levels():
         assert set(_kernel_levels(q, 5, False)[0]) == {1, 2, 3, 4, 5}
 
 
+def test_known_level_one_is_read_and_not_walked():
+    # S_0 and S_1 fix g on a support of two: a skew C of 2 or 3 walks no
+    # level, and 4 or 5 ranks the one stack of F_q^C
+    for q in (2, 3, 7):
+        for C, levels in [(2, set()), (3, set()), (4, {4}), (5, {5}), (6, {2, 6}),
+                          (8, {2, 6, 8})]:
+            assert set(_kernel_levels(q, C, True, (1,))[0]) == levels, (q, C)
+        for C in range(1, 7):
+            assert set(_kernel_levels(q, C, False, (1,))[0]) == set(range(2, C + 1))
+
+
+def _seeds_of_theoremB(table, monkeypatch):
+    """(B, known) as vectors_theoremB hands them to rank_distribution_B."""
+    seen, original = [], pgc.enumctr.rank_distribution_B
+
+    def recorded(B, budget, workers, known):
+        seen.append((B, known))
+        return original(B, budget, workers, known)
+
+    monkeypatch.setattr(pgc.enumctr, "rank_distribution_B", recorded)
+    vectors_theoremB(table)
+    monkeypatch.undo()
+    (B, known), = seen
+    return B, known
+
+
+def test_seeded_B_census_equals_the_unseeded(monkeypatch):
+    # S_1 from A's census is the S_1 of B's own census, whichever basis;
+    # on the kernel route a seed off by one is not a count of points
+    rng = random.Random(11)
+    tables = dual_pool() + [
+        change_basis(t, t.ring.p, [(*rng.sample(range(t.h), 2),
+                                    rng.randrange(1, t.ring.p)) for _ in range(3 * t.h)])
+        for t in field_pool() if t.ring.f == 1]
+    seeded = set()
+    for t in tables:
+        B, known = _seeds_of_theoremB(t, monkeypatch)
+        q, a, b = B.fs.q, B.rows, B.nvars
+        nu = rank_distribution_B(B)
+        assert known == {1: (s_size_from_nu(nu.entries, a, q) - q**b) // (q - 1)}, t.name
+        assert rank_distribution_B(B, 10**9, 1, known) == nu, t.name
+        if _census_plan(q, b, a, a, True, (1,)) is not None:
+            seeded.add(a)
+            for off in (-1, 1):
+                with pytest.raises(InexactDivision):
+                    rank_distribution_B(B, 10**9, 1, {1: known[1] + off})
+    assert seeded == {2, 3, 4, 5}
+    assert any(t.ring.f > 1 for t in tables)
+
+
+@pytest.mark.parametrize("fs", [make_field(3), make_field(3, 2)], ids=["GF(3)", "GF(9)"])
+def test_seeded_kernel_census_of_skew_forms(fs):
+    # S_1 read off the point census of the stacks at the lines <w>, the
+    # A(w) of the M(y) (codes transposed); skew sizes 2 to 6 (5 over GF(9))
+    rng = random.Random(12)
+    for size in range(2, 7 if fs.q == 3 else 6):
+        for n in (1, 3):
+            M = skew_form(fs, size, n, lambda: fs.from_int(rng.randrange(fs.q)))
+            A = pgc.LinearFormMatrix(fs, M.codes.transpose(2, 1, 0))
+            s = s_size_from_mu(_point_census(A, 1), n, fs.q)
+            level1 = (s - fs.q**n) // (fs.q - 1)
+            assert _kernel_census(M, 1, {1: level1}) == _point_census(M, 1), (size, n)
+            for off in (-1, 1):
+                with pytest.raises(InexactDivision):
+                    _kernel_census(M, 1, {1: level1 + off})
+
+
 def test_kernel_census_sums_exactly_past_int64(monkeypatch):
     # S_1 = 9 * 3^38 + 4 * 3^39 > 2^63 over the 13 lines of F_3^3
     def kernel(*args):

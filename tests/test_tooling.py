@@ -66,3 +66,30 @@ def test_tracer_records_the_spans_of_a_verify_run(monkeypatch, tmp_path, capsys)
     assert {"liecore.centre_derived", "liecore.validate"} <= set(tracer.seconds)
     assert "freenil.closed" in tracer.seconds
     assert pgc.liecore.centre.__module__ == "pgc.liecore"  # unwrapped again
+
+
+def test_theoremB_ranks_each_census_matrix_once(monkeypatch):
+    # B's kernel census reads its level 1 off A's census instead of ranking
+    # the lines of F_q^a again: f(2,4)/GF(7) once ranked 5,603 bases (2,801
+    # lines for A, the same lines and F_7^5 for B), quadric(9)/GF(9) 1,640,
+    # f(4,2)/GF(7) 801 and f(5,2)/GF(3) 243. g_alpha(2 mod 11)'s 6 x 6 B
+    # stays on the point census: its levels 2 and 6 hold 2.4e8 subspaces.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tables import WORKLOADS, build
+
+    ranked, original = [], pgc.enumctr.stacked_ranks
+
+    def counted(fs, codes, W):
+        ranked.append(len(W))
+        return original(fs, codes, W)
+
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", counted)
+    bases = {}
+    for key, command, constructor, args in WORKLOADS["census"]:
+        ranked.clear()
+        pgc.vectors_theoremB(build(constructor, args))
+        bases[key] = sum(ranked)
+    assert bases == {
+        "g_alpha(2 mod 11)/GF(11)": 400, "f(2,4)/GF(7)": 2802, "f(4,2)/GF(7)": 401,
+        "f(5,2)/GF(3)": 122, "f(2,3)/GF(25)": 651, "quadric(9)/GF(9)": 821,
+        "f(3,2)/GF(9)": 91, "heis/GF(27)": 1}
