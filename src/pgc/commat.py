@@ -7,10 +7,13 @@ matrix with B(Y)_{ij} = sum_k lambda_ij^k Y_k. Both read one block of T in
 the coordinates of adapt_basis: the e_i run over a basis of g modulo the
 centre, and k over the echelon basis of g'. Rank loci of A give class
 sizes, of B character degrees. Censuses walk the reduced echelon bases of
-subspaces (echelon_bases, echelon_block); its 1-dimensional level is one
-generator per cyclic subgroup of a sum of cyclic p-groups, the monic points
-of F_q^n over a field. One elimination loop, batch_rank, gives ranks over
-GF(q) and row-span lengths over Z/p^e, the dual route's image sizes.
+subspaces (echelon_bases); its 1-dimensional level is one generator per
+cyclic subgroup of a sum of cyclic p-groups, the monic points of F_q^n over
+a field. No basis is written out: build_stacks sums each block's stacks
+M_W as odometer sums of digit tables, straight into the layout of the one
+elimination loop, _eliminate, which gives ranks over GF(q) and row-span
+lengths over Z/p^e, the dual route's image sizes; batch_rank runs it on a
+copy of any batch of matrices.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -151,8 +155,8 @@ def _powers(fs, g):
 
 
 def _arith(fs):
-    """(axpy, mul, ninv) on int64 arrays of elements coded by fs.to_int:
-    axpy(x, a, y) = x + a y, mul(a, y) = a y, ninv[a] = -1/a (ninv[0] = 0).
+    """(add, mul, ninv) on int64 arrays of elements coded by fs.to_int:
+    add(x, y) = x + y, mul(a, y) = a y, ninv[a] = -1/a (ninv[0] = 0).
     Prime fields and extension fields keep the last four of their kind
     each, so a run over a few fields of both builds each one once and
     holds at most eight O(q) tables."""
@@ -167,7 +171,7 @@ def _prime_arith(fs):
     p = fs.p
     ninv = np.array([0] + [p - pow(v, p - 2, p) for v in range(1, p)], np.int64)
     ninv.setflags(write=False)
-    return (lambda x, a, y: (x + a * y) % p), (lambda a, y: a * y % p), ninv
+    return (lambda x, y: (x + y) % p), (lambda a, y: a * y % p), ninv
 
 
 @lru_cache(maxsize=4)
@@ -195,11 +199,10 @@ def _extension_arith(fs):
     def mul(a, y):
         return antilog[log[a] + log[y]]
 
-    def axpy(x, a, y):
-        z = mul(a, y)
-        return sum(((x // w + z // w) % p) * w for w in pw)
+    def add(x, y):
+        return sum(((x // w + y // w) % p) * w for w in pw)
 
-    return axpy, mul, ninv
+    return add, mul, ninv
 
 
 def _power(u, k, m):
@@ -213,43 +216,61 @@ def _power(u, k, m):
     return out
 
 
+def _work_dtype(ring, R, C):
+    """The dtype of the elimination of R x C matrices, C <= R (see
+    batch_rank): int32 over GF(p) and Z/p^e (m = |ring|) while
+    C (m - 1)^2 + m < 2^31, else int64. BudgetExceeded unless
+    check_modulus(m, C) bounds the entries in int64."""
+    r, e = radix(ring)
+    m = r**e
+    check_modulus(m, C)
+    lazy = isinstance(ring, ModRing) or ring.f == 1
+    return np.int32 if lazy and C * (m - 1) ** 2 + m < 1 << 31 else np.int64
+
+
 def batch_rank(M, ring):
     """Ranks of a batch of matrices over GF(q), or over Z/p^e the length l
     of each row span (|span| = p^l). M (N, R, C), int64, holds fs.to_int
-    codes resp. residues mod p^e, and is left as it is.
+    codes resp. residues mod p^e, and is left as it is: _eliminate runs on
+    a copy laid out (R, C, N), the batch axis innermost, transposed first
+    if that leaves fewer columns (the work grows with R C^2), in
+    _work_dtype."""
+    M = M.transpose(1, 2, 0) if M.shape[1] >= M.shape[2] else M.transpose(2, 1, 0)
+    return _eliminate(np.array(M, dtype=_work_dtype(ring, *M.shape[:2]), order="C"), ring)
 
-    One loop serves every ring, on a copy laid out (R, C, N), the batch
-    axis innermost, transposed first if that leaves fewer columns (the
-    work grows with R C^2). At column col every lane picks a pivot row y
-    and adds x_col (-y / y_col) to each row x, right of col (0 without a
-    pivot). Over a field y is the first nonzero row and is cleared itself;
-    rows pivoted earlier are zero right of their column, so no rows are
-    swapped. Over Z/p^e (m = p^e) y_col = p^v u, u a unit, has least
-    valuation, so x gets the exact (x_col / p^v) (-u^-1 y), and y's row
-    takes the coefficient u (1 - p^(e-v)), leaving p^(e-v) y: t y lies in
-    the span of the new rows exactly when p^(e-v) | t, so the column adds
-    e - v to the length. At e = 1, where p y = 0, the valuation steps are
-    skipped. -u^-1 is read from a table over GF(q), and over Z/p^e it is
-    -u^(phi(m) - 1) by square and multiply.
+
+def _eliminate(work, ring):
+    """The ranks resp. lengths of the matrices work[:, :, j], j < N, of
+    work (R, C, N) in the layout and dtype of batch_rank, holding codes
+    resp. residues; work is overwritten. Over GF(p) and Z/p^e an entry
+    may start anywhere below 2m: with the growth below it stays at most
+    C (m - 1)^2 + m.
+
+    At column col every lane picks a pivot row y and adds x_col (-y /
+    y_col) to each row x, right of col (0 without a pivot). Over a field y
+    is the first nonzero row and is cleared itself; rows pivoted earlier
+    are zero right of their column, so no rows are swapped. Over Z/p^e
+    (m = p^e) y_col = p^v u, u a unit, has least valuation, so x gets the
+    exact (x_col / p^v) (-u^-1 y), and y's row takes the coefficient
+    u (1 - p^(e-v)), leaving p^(e-v) y: t y lies in the span of the new
+    rows exactly when p^(e-v) | t, so the column adds e - v to the length.
+    At e = 1, where p y = 0, the valuation steps are skipped. -u^-1 is
+    read from a table over GF(q), and over Z/p^e it is -u^(phi(m) - 1) by
+    square and multiply.
 
     Over GF(p) and Z/p^e the entries stay unreduced integers, growing by
     at most (m - 1)^2 a column (m = p over GF(p)), and only the pivot
-    column and pivot row are reduced mod m, where they are read: int32
-    while C (m - 1)^2 + m < 2^31, and check_modulus(m, min(R, C)) bounds
-    them in int64. GF(p^f) keeps its log/antilog axpy."""
-    N, R, C = M.shape
+    column and pivot row are reduced mod m, where they are read; the
+    bounds of _work_dtype keep them exact. GF(p^f) keeps its log/antilog
+    arithmetic."""
+    R, C, N = work.shape
     r, e = radix(ring)
     m = r**e
     if isinstance(ring, ModRing):  # phi(m) = m (1 - 1/p)
         lazy, ninv = True, lambda u: -_power(u, m // r * (r - 1) - 1, m) % m
     else:
-        axpy, mul, table = _arith(ring)
+        add, mul, table = _arith(ring)
         lazy, ninv = ring.f == 1, table.__getitem__
-    check_modulus(m, min(R, C))
-    M = M.transpose(1, 2, 0) if R >= C else M.transpose(2, 1, 0)
-    R, C, _ = M.shape
-    dtype = np.int32 if lazy and C * (m - 1) ** 2 + m < 1 << 31 else np.int64
-    work = np.array(M, dtype=dtype, order="C")
     flat, ranks = work.reshape(-1), np.zeros(N, dtype=np.int64)
     lanes, pw = np.arange(N), r ** np.arange(e + 1)
     # flat index of entry (0, c, n) is c N + n; of row r, r C N more
@@ -279,23 +300,8 @@ def batch_rank(M, ring):
             s -= s // m * m
             work[:, col + 1 :] += colv[:, None] * s
         else:
-            work[:, col + 1 :] = axpy(work[:, col + 1 :], colv[:, None], mul(s, ninv(u)))
+            work[:, col + 1 :] = add(work[:, col + 1 :], mul(colv[:, None], mul(s, ninv(u))))
     return ranks
-
-
-def lincomb(ring, X, K):
-    """The products X K over GF(q) or Z/p^e as codes: row i is sum_j
-    X[i, j] K[j]. Over Z/p^e and GF(p), one reduction after the integer
-    sum; over Z/p^e the caller bounds that sum with check_modulus."""
-    if isinstance(ring, ModRing):
-        return X @ K % ring.m
-    if ring.f == 1:
-        return X @ K % ring.p
-    axpy = _arith(ring)[0]
-    out = np.zeros((X.shape[0], K.shape[1]), dtype=np.int64)
-    for j in range(X.shape[1]):
-        out = axpy(out, X[:, j : j + 1], K[j])
-    return out
 
 
 def radix(ring):
@@ -305,20 +311,19 @@ def radix(ring):
 
 
 def _free_entries(exps, box):
-    """(rows, cols, t) of the free entries of the bases in box (s, piv)
-    (see echelon_bases): entry (i, c), c off the pivots, runs over the
-    elements of order at most r^t of Z/r^exps[c], t = s - 1 left of row
-    i's pivot and s right of it, capped at exps[c]; t = 0 leaves it 0."""
+    """[(i, c, t)] of the free entries of the bases in box (s, piv) (see
+    echelon_bases), row by row: entry (i, c), c off the pivots, runs over
+    the elements of order at most r^t of Z/r^exps[c], t = s - 1 left of
+    row i's pivot and s right of it, capped at exps[c]; t = 0 leaves it 0."""
     s, piv = box
-    free = [(i, c, min(a, s - (c < j))) for i, j in enumerate(piv)
-            for c, a in enumerate(exps) if c not in piv]
-    return np.array([x for x in free if x[2]], dtype=np.int64).reshape(-1, 3).T
+    return [(i, c, t) for i, j in enumerate(piv) for c, a in enumerate(exps)
+            if c not in piv and (t := min(a, s - (c < j)))]
 
 
 def echelon_bases(ring, exps, k, step):
     """The level-k bases of the walk of sum_c Z/r^exps[c] ((r, e) =
     radix(ring)), as descriptors (box, start, stop) of blocks of at most
-    step bases of one box; echelon_block builds a block. Level 1 holds one
+    step bases of one box; build_stacks builds their stacks. Level 1 holds one
     generator per cyclic subgroup, so one point per orbit of the units: box
     (s, (j,)) those of order r^s whose first coordinate of that order, j,
     is r^(exps[j] - s); coordinates before j have order below r^s, those
@@ -332,34 +337,154 @@ def echelon_bases(ring, exps, k, step):
     for s in range(1, max(exps, default=1) + 1):
         for piv in combinations(range(len(exps)), k):
             if min(exps[j] for j in piv) >= s:
-                size = r ** int(_free_entries(exps, (s, piv))[2].sum())
+                size = r ** sum(t for *_, t in _free_entries(exps, (s, piv)))
                 for start in range(0, size, step):
                     yield (s, piv), start, min(start + step, size)
 
 
-def echelon_block(ring, exps, box, start, stop):
-    """The (stop - start, k, n) int64 codes of the bases start..stop-1 of
-    box (see echelon_bases)."""
-    r, (s, piv) = radix(ring)[0], box
-    rows, cols, t = _free_entries(exps, box)
-    a, piv = np.array(exps, dtype=np.int64), list(piv)
-    idx = np.arange(start, stop, dtype=np.int64)
-    W = np.zeros((idx.size, len(piv), len(exps)), dtype=np.int64)
-    W[:, np.arange(len(piv)), piv] = r ** (a[piv] - s)
-    place = r ** (np.cumsum(t[::-1])[::-1] - t)  # r^(digits after the entry)
-    W[:, rows, cols] = idx[:, None] // place % r**t * r ** (a[cols] - t)
-    return W
+def _runs(start, stop, radices):
+    """The bases start..stop-1 of a box whose free entries are digits of
+    the given radices, last fastest, as aligned runs (x, J, count): from
+    base x on, digit J takes count consecutive values and every digit
+    after J all of its own, the digits before J fixed. J = len(radices)
+    (no free entry) is the one base x."""
+    radices = [*radices, 1]
+    place = [prod(radices[j + 1 :]) for j in range(len(radices))]
+    while start < stop:
+        J = next(j for j, w in enumerate(place) if start % w == 0 and w <= stop - start)
+        count = min(radices[J] - start // place[J] % radices[J], (stop - start) // place[J])
+        yield start, J, count
+        start += count * place[J]
 
 
-def stacked_ranks(fs, codes, W):
-    """Ranks of the (kR) x n matrices M_W of x -> (M(x) w_1, ..., M(x) w_k)
-    for the bases w in the block W (N, k, C); codes (n, R, C) are M's.
-    With codes.transpose(2, 1, 0) and k = 1, M_W is M(w)."""
+def build_stacks(ring, codes, exps, block):
+    """The stacks M_W (see stacked_ranks) of the bases of block, pieces
+    (box, start, stop) of one level k of echelon_bases, in order, laid out
+    for _eliminate: (kR, n, N), or (n, kR, N) if that leaves fewer columns,
+    in _work_dtype.
+
+    No basis is written out. In a box the free entries of a base are the
+    digits of its index, last fastest, so a run of bases whose leading
+    digits are fixed and whose trailing digits take all their values
+    (_runs) is an odometer sum. Row block i of M_W, M(w_i) = sum_c w_ic
+    codes[:, :, c]^T, is the term of row i's pivot and fixed digits, plus
+    the digit table d r^(exps[c] - t) codes[:, :, c]^T of each of row i's
+    trailing digits, broadcast along that digit's axis. The tables of the
+    trailing digits are summed from the last digit outwards, each step
+    reduced by one compare-and-subtract, and these sums are shared by the
+    runs of the block. Over GF(p) and Z/p^e the last step, which writes
+    the stacks, is left below 2m, as _eliminate allows; over GF(p^f) every
+    step is _arith's digit-wise add."""
+    r, e = radix(ring)
+    m = r**e
     n, R, C = codes.shape
-    N, k, _ = W.shape
-    K = codes.transpose(2, 1, 0).reshape(C, R * n)  # K[c, (r, v)] = codes[v, r, c]
-    stacks = lincomb(fs, W.reshape(N * k, C), K)
-    return batch_rank(stacks.reshape(N, k * R, n), fs)
+    k = len(block[0][0][1])
+    N = sum(stop - start for _, start, stop in block)
+    tall = k * R >= n
+    shape = (k * R, n) if tall else (n, k * R)
+    out = np.empty((*shape, N), dtype=_work_dtype(ring, *shape))
+    blocks = out.reshape(k, R, n, N) if tall else out.reshape(n, k, R, N).transpose(1, 0, 2, 3)
+    _, a, b, _ = blocks.shape
+    # G[c] = codes[:, :, c]^T as a row block; a product of two residues fits the dtype
+    G = (codes.transpose(2, 1, 0) if tall else codes.transpose(2, 0, 1)).astype(out.dtype)
+    if isinstance(ring, ModRing) or ring.f == 1:
+        def times(v, c):  # v[..., None, None] G[c], reduced
+            return G[c] * v.astype(out.dtype)[..., None, None] % m
+
+        def weigh(w):  # (k, a, b): sum_c w[:, c] G[c], reduced
+            return (times(w, slice(None)).sum(axis=1) % m).astype(out.dtype)
+
+        def plus(x, y):
+            z = x + y
+            u = z.view(f"u{z.itemsize}")  # below m, u - m wraps past u
+            np.minimum(u, u - m, out=u)
+            return z
+
+        def final(x, y, to):
+            np.add(x, y, out=to)
+    else:
+        add, mul, _ = _arith(ring)
+
+        def times(v, c):
+            return mul(G[c], v[..., None, None])
+
+        def weigh(w):
+            return reduce(add, times(w, slice(None)).transpose(1, 0, 2, 3))
+
+        plus = add
+
+        def final(x, y, to):
+            to[...] = add(x, y)
+
+    tables, tails = {}, {(): np.zeros((a, b, 1), dtype=out.dtype)}
+
+    def table(c, t, lo, hi):
+        """Rows lo..hi-1 of entry (c, t)'s digit table: (hi - lo, a, b)."""
+        if r**t > N:  # longer than the block: only these rows are read
+            return times(np.arange(lo, hi) * r ** (exps[c] - t), c)
+        if t not in tables:  # every column's (no entry has t > exps[c]), d < r^t
+            unit = r ** np.maximum(np.array(exps) - t, 0)
+            tables[t] = times(np.arange(r**t)[:, None] * unit, slice(None)).transpose(1, 0, 2, 3)
+        return tables[t][c, lo:hi]
+
+    def tail(entries):
+        """The digit tables of entries ((c, t), ...) summed over every tuple
+        of their digits, last fastest: (a, b, prod r^t)."""
+        if entries not in tails:
+            (c, t), rest = entries[0], entries[1:]
+            T = table(c, t, 0, r**t).transpose(1, 2, 0)
+            if rest:
+                S = tail(rest)
+                T = plus(T[..., None], S[..., None, :]).reshape(a, b, T.shape[2] * S.shape[2])
+            tails[entries] = T
+        return tails[entries]
+
+    at = 0
+    for (s, piv), start, stop in block:
+        free = _free_entries(exps, (s, piv))
+        rows, F = [i for i, _, _ in free] + [k], len(free)
+        radices = [r**t for _, _, t in free]
+        place = [prod(radices[j + 1 :]) for j in range(F)]
+        pivots = [r ** (exps[p] - s) for p in piv]
+        pivot_terms = times(np.array(pivots), list(piv))
+        for x, J, count in _runs(start, stop, radices):
+            digit = [x // w % d for w, d in zip(place, radices)]
+            sizes = [1] * J + [count] + radices[J + 1 :]
+            size = prod(sizes)
+            run = blocks[..., at : at + size]
+            at += size
+            # every row's pivot and fixed digits; rows before J's have no other
+            base, fixed = pivot_terms, [j for j in range(J) if digit[j]]
+            if fixed:
+                w = np.zeros((k, C), dtype=np.int64)
+                w[range(k), piv] = pivots
+                for j in fixed:
+                    i, c, t = free[j]
+                    w[i, c] = digit[j] * r ** (exps[c] - t)
+                base = weigh(w)
+            if rows[J]:
+                run[: rows[J]] = base[: rows[J], :, :, None]
+            for i in range(rows[J], k):
+                own = [j for j in range(J, F) if rows[j] == i]
+                head = base[i][None]
+                if own:  # the first trailing digit's table, with the base added
+                    j = own.pop(0)
+                    head = plus(table(*free[j][1:], digit[j], digit[j] + sizes[j]), head)
+                S = tail(tuple(free[j][1:] for j in own))
+                outer = prod(sizes[j] for j in range(J, F) if rows[j] < i)
+                final(head.transpose(1, 2, 0)[:, :, None, :, None, None],
+                      S[:, :, None, None, :, None],
+                      run[i].reshape(a, b, outer, len(head), S.shape[2],
+                                     size // (outer * len(head) * S.shape[2])))
+    return out
+
+
+def stacked_ranks(ring, codes, exps, block):
+    """Ranks (lengths over Z/p^e) of the (kR) x n matrices M_W of
+    x -> (M(x) w_1, ..., M(x) w_k) for the bases w of block (see
+    build_stacks); codes (n, R, C) are M's. With codes.transpose(2, 1, 0)
+    and k = 1, M_W is M(w)."""
+    return _eliminate(build_stacks(ring, codes, exps, block), ring)
 
 
 def pfaffian(matrix, fs):
@@ -405,16 +530,19 @@ def projective_lines(fs, b):
     """Every line of P^{b-1}(F_q) once, as (n, q+1) arrays holding the
     indices of its points in projective_points order. A line is the span
     of a reduced echelon pair u, v (echelon_bases with k = 2); its points
-    v and u + t v, t in F_q, are all monic."""
-    q, axpy = fs.q, _arith(fs)[0]
+    v and u + t v, t in F_q, are all monic. The pairs are the stacks of
+    the identity form x -> x (see build_stacks)."""
+    q, (add, mul, _) = fs.q, _arith(fs)
     pw = q ** np.arange(b - 1, -1, -1, dtype=np.int64)
     # a monic point x with first nonzero coordinate l has index base[l] + x pw
     base = np.cumsum([0] + [q ** (b - 1 - lead) for lead in range(b - 1)]) - pw
     t = np.arange(q, dtype=np.int64)[None, :, None]
-    for box, start, stop in echelon_bases(fs, (1,) * b, 2, max(1, _STEP // (q + 1))):
-        U, V = echelon_block(fs, (1,) * b, box, start, stop).transpose(1, 0, 2)
-        piv = box[1]
-        on_u = base[piv[0]] + axpy(U[:, None], t, V[:, None]) @ pw
+    eye = np.eye(b, dtype=np.int64)[:, None, :]
+    for piece in echelon_bases(fs, (1,) * b, 2, max(1, _STEP // (q + 1))):
+        W = build_stacks(fs, eye, (1,) * b, [piece]) % q  # (2, b, N), or (b, 2, N)
+        U, V = (W if b <= 2 else W.transpose(1, 0, 2)).transpose(0, 2, 1)
+        piv = piece[0][1]
+        on_u = base[piv[0]] + add(U[:, None], mul(t, V[:, None])) @ pw
         on_v = base[piv[1]] + V @ pw
         yield np.concatenate([on_v[:, None], on_u], axis=1)
 
@@ -430,7 +558,7 @@ def projective_rank_census(B, budget=10**9):
         return {}, True
     check_points(fs, b, budget)
     codes = B.codes.transpose(2, 1, 0)
-    ranks = np.concatenate([stacked_ranks(fs, codes, echelon_block(fs, (1,) * b, *blk))
+    ranks = np.concatenate([stacked_ranks(fs, codes, (1,) * b, [blk])
                             for blk in echelon_bases(fs, (1,) * b, 1, _STEP)])
     census = dict(Counter(ranks.tolist()))
     full = ranks == B.rows

@@ -39,7 +39,6 @@ from .commat import (
     check_modulus,
     check_points,
     echelon_bases,
-    echelon_block,
     radix,
     stacked_ranks,
     structure_tensor,
@@ -151,10 +150,12 @@ def _walk(M, codes, exps, levels, workers):
     counts #{x != 0 : M_x has length l} / (r - 1). Each level's boxes are
     cut into blocks of step bases, step bringing a block to about _CHUNK
     matrices of M's size; a block may join the ends of several boxes, and
-    only a level's last block is shorter. With workers > 1 the blocks go
-    round robin to a thread pool (numpy releases the GIL), each thread
-    building only its own; the pool has at most one thread per usable CPU
-    and per block. The counts do not depend on workers."""
+    only a level's last block is shorter. A block's stacks are odometer
+    sums built straight in the elimination's layout (see build_stacks); no
+    basis is written out. With workers > 1 the blocks go round robin to a
+    thread pool (numpy releases the GIL), each thread building only its
+    own; the pool has at most one thread per usable CPU and per block. The
+    counts do not depend on workers."""
     ring = M.fs
     r, e = radix(ring)
     n, R, C = codes.shape
@@ -178,10 +179,9 @@ def _walk(M, codes, exps, levels, workers):
     def shard(worker, workers):
         counts = np.zeros((len(levels), width), dtype=np.int64)
         for i, block in islice(blocks(), worker, None, workers):
-            ranks = stacked_ranks(ring, codes, np.concatenate(
-                [echelon_block(ring, exps, *piece) for piece in block]))
-            ends = np.cumsum([stop - start for _, start, stop in block])
-            for ((s, _), _, _), part in zip(block, np.split(ranks, ends[:-1])):
+            ranks, at = stacked_ranks(ring, codes, exps, block), 0
+            for (s, _), start, stop in block:
+                part, at = ranks[at : at + stop - start], at + stop - start
                 counts[i] += np.bincount(part, minlength=width) * r ** (s - 1)
         return counts
 
@@ -256,6 +256,7 @@ def _kernel_levels(q, C, skew, known=()):
                          for j, b in basis.items())
 
 
+@lru_cache(maxsize=None)
 def _census_plan(q, n, R, C, skew, known=()):
     """Levels of the kernel census of an R x C matrix in n variables over
     GF(q), given S_k for the k in known, or None if the point census costs

@@ -1,5 +1,7 @@
 """Shared table builders for the test suite."""
 
+from functools import reduce
+
 import numpy as np
 
 from pgc import (
@@ -86,8 +88,9 @@ def modular_pool():
 
 def change_basis(table, m, ops):
     """The table in the basis P e, with P the product of the elementary row
-    operations (i, j, c), row i += c row j, over Z/m (GF(p) when m = p)."""
-    h = table.h
+    operations (i, j, c), row i += c row j, over Z/m (GF(p) when m = p, the
+    prime field of a GF(q) table)."""
+    R, h = table.ring, table.h
     P = [[int(i == j) for j in range(h)] for i in range(h)]
     Pinv = [list(row) for row in P]  # tracked alongside P
     for i, j, c in ops:
@@ -97,35 +100,39 @@ def change_basis(table, m, ops):
     brackets = {}
     for i in range(h):
         for j in range(i + 1, h):
-            v = table.bracket(P[i], P[j])  # old coordinates; new = v Pinv
-            brackets[(i, j)] = {l: sum(v[k] * Pinv[k][l] for k in range(h)) % m
+            # old coordinates; new = v Pinv
+            v = table.bracket([R.embed(x) for x in P[i]], [R.embed(x) for x in P[j]])
+            brackets[(i, j)] = {l: reduce(R.add, (R.mul(v[k], R.embed(Pinv[k][l]))
+                                                  for k in range(h)))
                                 for l in range(h)}
     return LieRing(table.ring, h, brackets)
 
 
 def scaled_free_quotient(r, c, ring, shift, line):
-    """f(r,c) over Z/p^e on the basis p^a(w) e_i, e_i of weight w and
-    a(w) = shift[w - 1], modulo the line of the top layer spanned by
-    `line`, which needs a unit coordinate j.
+    """f(r,c) over Z/p^e or GF(q) on the basis p^a(w) e_i, e_i of weight w
+    and a(w) = shift[w - 1], modulo the line of the top layer spanned by
+    `line`, ring elements with a unit coordinate j. Over GF(q), where p is
+    0, the shift must be 0.
 
     lambda_ij^k becomes p^(a(w_i) + a(w_j) - a(w_k)) lambda_ij^k, so a must
     be subadditive; a c-fold bracket of generators gains p^(c a(1) - a(c)),
     so the class stays c while that is below e. The top layer is central,
     so the line is an ideal; the quotient keeps the other top coordinates
     t != j as x_t - (x_j / line_j) line_t."""
-    p, m = ring.p, ring.m
+    p, zero = ring.p, ring.zero()
     free = free_table(r, c, ring)
     a = [shift[w] for w, layer in enumerate(free.hall.layers) for _ in layer]
     low = free.h - len(line)
-    j = next(t for t, x in enumerate(line) if x % p)
-    inv = pow(line[j], -1, m)
+    unit = ring.is_unit if isinstance(ring, ModRing) else (lambda x: not ring.is_zero(x))
+    j = next(t for t, x in enumerate(line) if unit(x))
+    inv = ring.inv(line[j])
     brackets = {}
     for (i1, i2), row in free.lam.items():
-        row = {k: v * p ** (a[i1] + a[i2] - a[k]) for k, v in row.items()}
+        row = {k: ring.mul(v, ring.embed(p ** (a[i1] + a[i2] - a[k]))) for k, v in row.items()}
         image = {k: v for k, v in row.items() if k < low}
-        xj = row.get(low + j, 0) * inv
+        xj = ring.mul(row.get(low + j, zero), inv)
         for t, x in enumerate(line):
             if t != j:
-                image[low + t - (t > j)] = row.get(low + t, 0) - xj * x
+                image[low + t - (t > j)] = ring.sub(row.get(low + t, zero), ring.mul(xj, x))
         brackets[(i1, i2)] = image
     return LieRing(ring, free.h - 1, brackets, f"f({r},{c})/{ring} scaled by {shift}")

@@ -1,6 +1,7 @@
 """Commutator matrices, ranks, Pfaffians, projective censuses."""
 
 import itertools
+from functools import reduce
 import random
 from collections import Counter
 
@@ -16,7 +17,7 @@ from pgc import (
     pfaffian, projective_points, projective_rank_census,
     free_table, quadric_table, boston_isaacs_table,
 )
-from pgc.commat import projective_lines, structure_tensor
+from pgc.commat import build_stacks, echelon_bases, projective_lines, radix, structure_tensor
 from pgc.liecore import is_field, smith_mod
 from conftest import field_pool, form_matrix, heisenberg, modular_pool
 
@@ -307,13 +308,16 @@ def test_projective_rank_census_ranks_in_point_order(p, f, monkeypatch):
         coeffs = [[[rng.choice(fs.elements()) for _ in range(b)] for _ in range(3)]
                   for _ in range(2)]
         mats.append(form_matrix(fs, 2, 3, b, coeffs))
-    seen, original = [], pgc.commat.stacked_ranks
+    seen, original = [], pgc.commat.build_stacks
 
     def recorded(*args):
-        seen.append(original(*args))
-        return seen[-1]
+        stacks = original(*args)
+        seen.append(batch_rank(stacks.transpose(2, 0, 1), fs))
+        return stacks
 
-    monkeypatch.setattr(pgc.commat, "stacked_ranks", recorded)
+    monkeypatch.setattr(pgc.commat, "build_stacks", recorded)
+    # the lines build stacks of their own (of the identity form); not these
+    monkeypatch.setattr(pgc.commat, "projective_lines", lambda fs, b: iter(()))
     for B in mats:
         seen.clear()
         census, _ = projective_rank_census(B)
@@ -321,6 +325,66 @@ def test_projective_rank_census_ranks_in_point_order(p, f, monkeypatch):
         assert np.concatenate(seen).tolist() == want, (B.nvars, B.rows, B.cols)
         assert census == dict(Counter(want))
     assert {B.nvars for B in mats} == {1, 2, 3, 4}
+
+
+def _bases(ring, exps, box, start, stop):
+    """The bases start..stop-1 of box (s, piv) of echelon_bases, written
+    out from its definition: row i has r^(exps[j] - s) at its pivot j and
+    runs over d r^(exps[c] - t), d < r^t, at each other column c, t =
+    min(exps[c], s - [c < j]); the digits d of the whole basis count up,
+    the last fastest."""
+    r, (s, piv) = radix(ring)[0], box
+    free = [(i, c, min(a, s - (c < j))) for i, j in enumerate(piv)
+            for c, a in enumerate(exps) if c not in piv]
+    free = [x for x in free if x[2]]
+    for digits in itertools.islice(itertools.product(*(range(r**t) for *_, t in free)),
+                                   start, stop):
+        w = [[0] * len(exps) for _ in piv]
+        for i, j in enumerate(piv):
+            w[i][j] = r ** (exps[j] - s)
+        for (i, c, t), d in zip(free, digits):
+            w[i][c] = d * r ** (exps[c] - t)
+        yield w
+
+
+def _stack_by_hand(ring, codes, w):
+    """M_W = (sum_c w[i][c] codes[:, :, c]^T for each row i of w) as a
+    list of rows, entry by entry in the ring's own arithmetic."""
+    n, R, C = codes.shape
+    if is_field(ring):
+        def entry(i, row, v):
+            terms = (ring.mul(ring.from_int(w[i][c]), ring.from_int(int(codes[v, row, c])))
+                     for c in range(C))
+            return ring.to_int(reduce(ring.add, terms, ring.zero()))
+    else:
+        def entry(i, row, v):
+            return sum(w[i][c] * int(codes[v, row, c]) for c in range(C)) % ring.m
+    return [[entry(i, row, v) for v in range(n)] for i in range(len(w)) for row in range(R)]
+
+
+@pytest.mark.parametrize("ring,exps", [(make_field(5), (1,) * 4), (make_field(3, 2), (1,) * 3),
+                                       (ModRing(5, 2), (1, 2, 2, 1)),
+                                       (ModRing(3, 3), (1, 2, 2, 3))],
+                         ids=["GF(5)", "GF(9)", "Z25", "Z27"])
+def test_built_stacks_are_the_sums_over_explicit_bases(ring, exps):
+    # every piece of levels 1-3 (level 1 over Z/p^e) at steps 1, 7 and 10^6,
+    # alone and three to a block, in both layouts of the elimination
+    r, e = radix(ring)
+    m = r**e
+    rng = np.random.default_rng(len(exps) * m)
+    for R, n in [(2, 3), (3, 2)]:
+        codes = rng.integers(0, m, (n, R, len(exps)))
+        for k in (1, 2, 3) if is_field(ring) else (1,):
+            for step in (1, 7, 10**6):
+                pieces = list(echelon_bases(ring, exps, k, step))
+                blocks = [[p] for p in pieces] + [pieces[i : i + 3]
+                                                   for i in range(0, len(pieces), 3)]
+                for block in blocks:
+                    got = build_stacks(ring, codes, exps, block)
+                    got = got.transpose(2, 0, 1) if k * R >= n else got.transpose(2, 1, 0)
+                    want = [_stack_by_hand(ring, codes, w)
+                            for piece in block for w in _bases(ring, exps, *piece)]
+                    assert (got % m).tolist() == want, (R, n, k, step, block)
 
 
 def _lines_by_pairs(fs, b):

@@ -141,13 +141,13 @@ def test_kernel_census_independent_of_workers(fs, monkeypatch):
 def test_each_block_is_built_once(route, monkeypatch):
     # 7 points per block: many blocks, dealt out to every worker
     monkeypatch.setattr(pgc.enumctr, "_CHUNK", 7)
-    built, original = [], pgc.enumctr.echelon_block
+    built, original = [], pgc.commat.build_stacks
 
-    def counted(fs, n, piv, start, stop):
-        built.append((n, piv, start, stop))
-        return original(fs, n, piv, start, stop)
+    def counted(fs, codes, exps, block):
+        built.extend((exps, *piece) for piece in block)
+        return original(fs, codes, exps, block)
 
-    monkeypatch.setattr(pgc.enumctr, "echelon_block", counted)
+    monkeypatch.setattr(pgc.commat, "build_stacks", counted)
     fs, rng = make_field(5), random.Random(4)
     # a skew 4 x 4 walks the 156 lines of F_5^4 (the 3 x 3 B(Y) of
     # f(2,3) walks one subspace, F_5^3)
@@ -163,21 +163,21 @@ def test_each_block_is_built_once(route, monkeypatch):
 
 
 def _blocks_ranked(census, M, monkeypatch):
-    """[(k, bases, step, C)] of every stacked_ranks call of one census of
-    M, in walk order: k-dimensional subspaces of F_q^C, dealt in blocks
+    """[(k, bases, step, C)] of every block of stacks built in one census
+    of M, in walk order: k-dimensional subspaces of F_q^C, dealt in blocks
     of step bases by _walk's rule."""
-    calls, original = [], pgc.enumctr.stacked_ranks
+    calls, original = [], pgc.commat.build_stacks
 
-    def counted(fs, codes, W):
+    def counted(fs, codes, exps, block):
         n, R, C = codes.shape
-        N, k, _ = W.shape
+        k, N = len(block[0][0][1]), sum(stop - start for _, start, stop in block)
         step = max(1, pgc.enumctr._CHUNK * max(M.rows * M.cols, 1) // max(k * R * n, 1))
         calls.append((k, N, step, C))
-        return original(fs, codes, W)
+        return original(fs, codes, exps, block)
 
-    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", counted)
+    monkeypatch.setattr(pgc.commat, "build_stacks", counted)
     assert census(M, 1) == _brute_force_distribution(M)
-    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", original)
+    monkeypatch.setattr(pgc.commat, "build_stacks", original)
     return calls
 
 
@@ -207,7 +207,7 @@ def test_walk_blocks_span_pivot_sets(monkeypatch):
 
 def test_walk_ranks_small_pivot_sets_in_one_block(monkeypatch):
     # the 121 monic points of F_3^5 lie in pivot sets of 81, 27, 9, 3 and 1
-    # points, all below the step of 1 << 15: one block, one stacked_ranks
+    # points, all below the step of 1 << 15: one block, built once
     A = build_commutator_matrices(free_table(5, 2, make_field(3)))[0]
     assert [(k, N) for k, N, _, _ in _blocks_ranked(_point_census, A, monkeypatch)
             ] == [(1, 121)]
@@ -551,16 +551,19 @@ def test_unit_orbit_census_equals_every_point():
 
 
 def _matrices_ranked(table, monkeypatch):
-    """[(matrices, rows, cols)] of each batch_rank call of vectors_dual."""
-    calls, original = [], pgc.commat.batch_rank
+    """[(matrices, rows, cols)] of each block of stacks vectors_dual
+    builds."""
+    calls, original = [], pgc.commat.build_stacks
 
-    def counted(M, ring):
-        calls.append(M.shape)
-        return original(M, ring)
+    def counted(ring, codes, exps, block):
+        n, R, _ = codes.shape
+        k, N = len(block[0][0][1]), sum(stop - start for _, start, stop in block)
+        calls.append((N, k * R, n))
+        return original(ring, codes, exps, block)
 
-    monkeypatch.setattr(pgc.commat, "batch_rank", counted)
+    monkeypatch.setattr(pgc.commat, "build_stacks", counted)
     vectors_dual(table)
-    monkeypatch.setattr(pgc.commat, "batch_rank", original)
+    monkeypatch.setattr(pgc.commat, "build_stacks", original)
     return calls
 
 

@@ -77,13 +77,13 @@ def test_theoremB_ranks_each_census_matrix_once(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tables import WORKLOADS, build
 
-    ranked, original = [], pgc.enumctr.stacked_ranks
+    ranked, original = [], pgc.commat.build_stacks
 
-    def counted(fs, codes, W):
-        ranked.append(len(W))
-        return original(fs, codes, W)
+    def counted(fs, codes, exps, block):
+        ranked.append(sum(stop - start for _, start, stop in block))
+        return original(fs, codes, exps, block)
 
-    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", counted)
+    monkeypatch.setattr(pgc.commat, "build_stacks", counted)
     bases = {}
     for key, command, constructor, args in WORKLOADS["census"]:
         ranked.clear()
