@@ -20,6 +20,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 from .field import make_field, is_prime
@@ -220,6 +221,19 @@ def _diag(msg):
     print(f"pgc: error: {msg}", file=sys.stderr)
 
 
+@contextmanager
+def _any_length():
+    """Lift the interpreter's limit on int -> str conversion meanwhile,
+    so exact integers of any length print; input is parsed under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_any_length()
 def _render(cc, ch, k, p):
     lines = []
     if cc is not None:
@@ -230,14 +244,14 @@ def _render(cc, ch, k, p):
     return "\n".join(lines)
 
 
-def _json_obj(table, cc, ch, k, method):
+def _json_obj(name, ring, cc, ch, k, method):
     def vec(v):
         return None if v is None else {str(i): n for i, n in sorted(v.items())}
 
     return {
-        "name": table.name,
-        "p": table.ring.p,
-        "f_or_e": f"f={table.ring.f}" if is_field(table.ring) else f"e={table.ring.e}",
+        "name": name,
+        "p": ring.p,
+        "f_or_e": f"f={ring.f}" if is_field(ring) else f"e={ring.e}",
         "class_vector": vec(cc),
         "char_vector": vec(ch),
         "k": k,
@@ -245,6 +259,7 @@ def _json_obj(table, cc, ch, k, method):
     }
 
 
+@_any_length()
 def _print_json(obj):
     print(json.dumps(obj, separators=(", ", ": ")))
 
@@ -317,7 +332,7 @@ def _cmd_vectors(args):
         cc, ch = vectors_dual(t, args.budget, args.threads)
     k = cc.total()
     if args.json:
-        _print_json(_json_obj(t, cc, ch, k, method))
+        _print_json(_json_obj(t.name, t.ring, cc, ch, k, method))
     else:
         print(_render(cc, ch, k, t.ring.p))
     return 0
@@ -327,7 +342,7 @@ def _cmd_free(args):
     if not is_prime(args.p):
         raise BadInput(f"p = {args.p} is not prime")
     table = None
-    if args.emit or args.enumerate or args.json:
+    if args.emit or args.enumerate:
         table = free_table(args.r, args.c, make_field(args.p, args.f))
     if args.emit:
         with open(args.emit, "w", encoding="utf-8") as fh:
@@ -342,7 +357,8 @@ def _cmd_free(args):
         cc, ch, k = free_closed_vectors(args.r, args.c, args.p ** args.f)
         method = "closed"
     if args.json:
-        _print_json(_json_obj(table, cc, ch, k, method))
+        ring = table.ring if table else make_field(args.p, args.f)
+        _print_json(_json_obj(f"f({args.r},{args.c})", ring, cc, ch, k, method))
     else:
         print(_render(cc, ch, k, args.p))
     return 0
@@ -408,6 +424,7 @@ def _require(val, flag):
     return val
 
 
+@_any_length()
 def _poly_str(coeffs, var):
     """The polynomial with the given coefficients, constant term first, in
     the variable var, highest degree first: "q^3 + q^2 - 1"."""

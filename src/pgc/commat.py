@@ -9,11 +9,11 @@ centre, and k over the echelon basis of g'. Rank loci of A give class
 sizes, of B character degrees. Censuses walk the reduced echelon bases of
 subspaces (echelon_bases); its 1-dimensional level is one generator per
 cyclic subgroup of a sum of cyclic p-groups, the monic points of F_q^n over
-a field. No basis is written out: build_stacks sums each block's stacks
-M_W as odometer sums of digit tables, straight into the layout of the one
-elimination loop, _eliminate, which gives ranks over GF(q) and row-span
-lengths over Z/p^e, the dual route's image sizes; batch_rank runs it on a
-copy of any batch of matrices.
+a field. No basis is written out: build_stacks writes each block's stacks
+M_W as a head per run plus odometer tails shared by the runs, straight
+into the layout of the one elimination loop, _eliminate, which gives
+ranks over GF(q) and row-span lengths over Z/p^e, the dual route's image
+sizes; batch_rank runs it on a copy of any batch of matrices.
 """
 
 from __future__ import annotations
@@ -364,20 +364,20 @@ def build_stacks(ring, codes, exps, block):
     in _work_dtype.
 
     No basis is written out. In a box the free entries of a base are the
-    digits of its index, last fastest, so a run of bases whose leading
-    digits are fixed and whose trailing digits take all their values
-    (_runs) is an odometer sum. Row block i of M_W, M(w_i) = sum_c w_ic
-    codes[:, :, c]^T, is the term of row i's pivot and fixed digits, plus
-    the digit table d r^(exps[c] - t) codes[:, :, c]^T of each of row i's
-    trailing digits, broadcast along that digit's axis. The tables of the
-    trailing digits are summed from the last digit outwards, each step
-    reduced by one compare-and-subtract, and these sums are shared by the
-    runs of the block. Over GF(p) and Z/p^e the last step, which writes
-    the stacks, is left below 2m, as _eliminate allows; over GF(p^f) every
-    step is _arith's digit-wise add."""
+    digits of its index, last fastest; in a run (x, J, count) of _runs
+    digit J counts up and every later digit takes all its values. So row
+    block i of the run, M(w_i) = sum_c w_ic codes[:, :, c]^T, is a head
+    broadcast against a tail. The head is the term of row i's pivot plus
+    the terms d r^(exps[c] - t) codes[:, :, c]^T of its digits up to J, one
+    value per value of digit J; the tail, the odometer sum of the terms of
+    its digits after J, is summed from the last digit outwards and shared
+    by the runs of the block. Over GF(p) and Z/p^e every sum is reduced by
+    one compare-and-subtract but head plus tail, which writes the stacks
+    and is left below 2m, as _eliminate allows; over GF(p^f) every sum is
+    _arith's digit-wise add."""
     r, e = radix(ring)
     m = r**e
-    n, R, C = codes.shape
+    n, R, _ = codes.shape
     k = len(block[0][0][1])
     N = sum(stop - start for _, start, stop in block)
     tall = k * R >= n
@@ -390,9 +390,6 @@ def build_stacks(ring, codes, exps, block):
     if isinstance(ring, ModRing) or ring.f == 1:
         def times(v, c):  # v[..., None, None] G[c], reduced
             return G[c] * v.astype(out.dtype)[..., None, None] % m
-
-        def weigh(w):  # (k, a, b): sum_c w[:, c] G[c], reduced
-            return (times(w, slice(None)).sum(axis=1) % m).astype(out.dtype)
 
         def plus(x, y):
             z = x + y
@@ -408,31 +405,19 @@ def build_stacks(ring, codes, exps, block):
         def times(v, c):
             return mul(G[c], v[..., None, None])
 
-        def weigh(w):
-            return reduce(add, times(w, slice(None)).transpose(1, 0, 2, 3))
-
         plus = add
 
         def final(x, y, to):
             to[...] = add(x, y)
 
-    tables, tails = {}, {(): np.zeros((a, b, 1), dtype=out.dtype)}
-
-    def table(c, t, lo, hi):
-        """Rows lo..hi-1 of entry (c, t)'s digit table: (hi - lo, a, b)."""
-        if r**t > N:  # longer than the block: only these rows are read
-            return times(np.arange(lo, hi) * r ** (exps[c] - t), c)
-        if t not in tables:  # every column's (no entry has t > exps[c]), d < r^t
-            unit = r ** np.maximum(np.array(exps) - t, 0)
-            tables[t] = times(np.arange(r**t)[:, None] * unit, slice(None)).transpose(1, 0, 2, 3)
-        return tables[t][c, lo:hi]
+    tails = {}
 
     def tail(entries):
-        """The digit tables of entries ((c, t), ...) summed over every tuple
-        of their digits, last fastest: (a, b, prod r^t)."""
+        """The terms of entries ((c, t), ...) summed over every tuple of
+        their digits, last fastest: (a, b, prod r^t)."""
         if entries not in tails:
             (c, t), rest = entries[0], entries[1:]
-            T = table(c, t, 0, r**t).transpose(1, 2, 0)
+            T = times(np.arange(r**t) * r ** (exps[c] - t), c).transpose(1, 2, 0)
             if rest:
                 S = tail(rest)
                 T = plus(T[..., None], S[..., None, :]).reshape(a, b, T.shape[2] * S.shape[2])
@@ -442,40 +427,30 @@ def build_stacks(ring, codes, exps, block):
     at = 0
     for (s, piv), start, stop in block:
         free = _free_entries(exps, (s, piv))
-        rows, F = [i for i, _, _ in free] + [k], len(free)
         radices = [r**t for _, _, t in free]
-        place = [prod(radices[j + 1 :]) for j in range(F)]
-        pivots = [r ** (exps[p] - s) for p in piv]
-        pivot_terms = times(np.array(pivots), list(piv))
+        place = [prod(radices[j + 1 :]) for j in range(len(free) + 1)]
+        pivot_terms = times(np.array([r ** (exps[p] - s) for p in piv]), list(piv))
         for x, J, count in _runs(start, stop, radices):
-            digit = [x // w % d for w, d in zip(place, radices)]
-            sizes = [1] * J + [count] + radices[J + 1 :]
-            size = prod(sizes)
+            size = count * place[J]
             run = blocks[..., at : at + size]
             at += size
-            # every row's pivot and fixed digits; rows before J's have no other
-            base, fixed = pivot_terms, [j for j in range(J) if digit[j]]
-            if fixed:
-                w = np.zeros((k, C), dtype=np.int64)
-                w[range(k), piv] = pivots
-                for j in fixed:
-                    i, c, t = free[j]
-                    w[i, c] = digit[j] * r ** (exps[c] - t)
-                base = weigh(w)
-            if rows[J]:
-                run[: rows[J]] = base[: rows[J], :, :, None]
-            for i in range(rows[J], k):
-                own = [j for j in range(J, F) if rows[j] == i]
-                head = base[i][None]
-                if own:  # the first trailing digit's table, with the base added
-                    j = own.pop(0)
-                    head = plus(table(*free[j][1:], digit[j], digit[j] + sizes[j]), head)
-                S = tail(tuple(free[j][1:] for j in own))
-                outer = prod(sizes[j] for j in range(J, F) if rows[j] < i)
-                final(head.transpose(1, 2, 0)[:, :, None, :, None, None],
-                      S[:, :, None, None, :, None],
-                      run[i].reshape(a, b, outer, len(head), S.shape[2],
-                                     size // (outer * len(head) * S.shape[2])))
+            digit = [x // w % d for w, d in zip(place, radices)]
+            for i in range(k):
+                head = pivot_terms[i][None]  # (count, a, b) once digit J is added
+                for j, (row, c, t) in enumerate(free[: J + 1]):
+                    if row == i and (digit[j] or j == J):  # a zero digit adds 0
+                        d = np.arange(digit[j], digit[j] + (count if j == J else 1))
+                        head = plus(head, times(d * r ** (exps[c] - t), c))
+                H = head.transpose(1, 2, 0)
+                own = tuple((c, t) for row, c, t in free[J + 1 :] if row == i)
+                if not own:
+                    run[i].reshape(a, b, len(head), size // len(head))[...] = H[..., None]
+                    continue
+                S = tail(own)
+                inner = prod(r**t for row, _, t in free[J + 1 :] if row > i)
+                outer = size // (len(head) * S.shape[2] * inner)
+                final(H[:, :, :, None, None, None], S[:, :, None, None, :, None],
+                      run[i].reshape(a, b, len(head), outer, S.shape[2], inner))
     return out
 
 

@@ -10,6 +10,7 @@ where one is on PATH.
 
 import json
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -184,6 +185,16 @@ def test_bad_coefficients_prime_field(coeff):
 def test_bad_coefficient_tuple_too_long():
     with pytest.raises(BadCoefficient):
         parse_lie("ring p=3 f=2\ndim 3\nbracket 1 2 : (1,0,0) 3\n")
+
+
+def test_coefficient_beyond_the_digit_limit_exits_2(tmp_path, capsys):
+    # .lie input is parsed under the interpreter's limit on decimal digits
+    f = _write(tmp_path, HEIS5.replace(": 1 3", ": " + "1" * 5000 + " 3"))
+    t0 = time.perf_counter()
+    assert run(["vectors", f]) == 2
+    assert time.perf_counter() - t0 < 5
+    out, err = capsys.readouterr()
+    assert out == "" and "is not a coefficient" in err
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +506,42 @@ def test_free_and_fit_reject_bad_parameters(argv, capsys):
     assert run(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("pgc: error:")
+
+
+def test_free_and_fit_print_integers_beyond_the_digit_limit(capsys):
+    # k(f(6,6)/GF(7)) has more decimal digits than the interpreter converts
+    # by default; printing lifts that limit and puts it back
+    limit = sys.get_int_max_str_digits()
+    argv = ["free", "-r", "6", "-c", "6", "-p", "7"]
+    assert run(argv) == 0
+    text = capsys.readouterr().out
+    assert run(argv + ["--json"]) == 0
+    obj = capsys.readouterr().out
+    assert run(["fit", "-r", "6", "-c", "6", "--target", "k", "--at", "7,11"]) == 0
+    fit = capsys.readouterr().out
+    assert sys.get_int_max_str_digits() == limit
+    ks = {q: pgc.class_number_closed(6, 6, q) for q in (7, 11)}
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(ks[7])) > limit
+        assert text.endswith(f"\nk = {ks[7]}\n")
+        assert json.loads(obj)["k"] == ks[7]
+        slope, sign, const = re.fullmatch(r"k = (\d+) q ([+-]) (\d+)\n", fit).groups()
+        for q in (7, 11):
+            assert int(slope) * q + int(sign + const) == ks[q]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_free_closed_json_builds_no_table(monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("the free table was built")
+
+    monkeypatch.setattr(pgc.cli, "free_table", build)
+    assert run(["free", "-r", "2", "-c", "3", "-p", "5", "-f", "2", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["name"], obj["p"], obj["f_or_e"]) == ("f(2,3)", 5, "f=2")
+    assert (obj["k"], obj["method"]) == (pgc.class_number_closed(2, 3, 25), "closed")
 
 
 # ---------------------------------------------------------------------------

@@ -368,13 +368,14 @@ def _stack_by_hand(ring, codes, w):
                          ids=["GF(5)", "GF(9)", "Z25", "Z27"])
 def test_built_stacks_are_the_sums_over_explicit_bases(ring, exps):
     # every piece of levels 1-3 (level 1 over Z/p^e) at steps 1, 7 and 10^6,
-    # alone and three to a block, in both layouts of the elimination
+    # alone and three to a block, in both layouts of the elimination; forms
+    # with no rows or no variables, one in each layout, at levels 1-2
     r, e = radix(ring)
     m = r**e
     rng = np.random.default_rng(len(exps) * m)
-    for R, n in [(2, 3), (3, 2)]:
+    for R, n, levels in [(2, 3, (1, 2, 3)), (3, 2, (1, 2, 3)), (0, 3, (1, 2)), (3, 0, (1, 2))]:
         codes = rng.integers(0, m, (n, R, len(exps)))
-        for k in (1, 2, 3) if is_field(ring) else (1,):
+        for k in levels if is_field(ring) else (1,):
             for step in (1, 7, 10**6):
                 pieces = list(echelon_bases(ring, exps, k, step))
                 blocks = [[p] for p in pieces] + [pieces[i : i + 3]
