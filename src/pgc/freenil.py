@@ -108,13 +108,18 @@ class HallBasis:
         return self.elements[i].display
 
 
+def _check_free_parameters(r, c):
+    """ValueError unless f(r, c) exists: r >= 2 generators, class c >= 1."""
+    if r < 2 or c < 1:
+        raise ValueError(f"need r >= 2 generators and class >= 1, got r = {r}, c = {c}")
+
+
 def hall_basis(r, c):
     """Hall basis of f_{r,c}: basic commutators [u, v] with u > v and, for
     composite u = [u1, u2], u2 <= v. Order refines weight; within a layer,
     lexicographic by (left-parent index, right-parent index). Generators
     come first, e_1 < ... < e_r."""
-    if r < 2 or c < 1:
-        raise ValueError(f"need r >= 2 generators and class >= 1, got r = {r}, c = {c}")
+    _check_free_parameters(r, c)
     names = ("y", "x") if r == 2 else tuple(f"x{i+1}" for i in range(r))
     elements = []
     layers = []
@@ -212,6 +217,7 @@ def class_vector_closed(r, c, q):
     """Class vector of F_{r,c}(F_q) by layer bookkeeping: the centre
     contributes cc_0 = q^{W_r(c)}; weight-i elements (i < c) lie in classes
     of size q^{k(r,c,i)}. Keys are exponents of q."""
+    _check_free_parameters(r, c)
     p = prime_power(q)[0]
     if p <= c:
         raise ClassTooLarge(f"char {p} <= c = {c}")
@@ -302,6 +308,7 @@ def char_vector_closed(r, c, q):
     """ch(F_{r,c}(F_q)) in closed form, keyed by exponents of q:
     char_vector_class2 for c = 2, else fixture_vectors (UnknownFixture off
     its four pairs)."""
+    _check_free_parameters(r, c)
     if c == 2:
         return char_vector_class2(r, q)
     return fixture_vectors(r, c, q)

@@ -5,24 +5,31 @@ product is the truncated Hausdorff series u*v = sum_{i<=c} F_i(u,v) with
 exact rational coefficients, well defined whenever p > c. Everything here
 is deliberately independent of the counting machinery. bch collects the
 F_i on the Hall basis by the Dynkin-Specht-Wever lemma (freenil.collect);
-star and bch_matrix_sum evaluate Hall elements by _hall_values. By the
-orbit method both censuses are orbit counts of the one group generated by
-the Ad_g on the additive group (Z/n)^N of the table over GF(p) or Z/p^e;
-a GF(p^f) table is first taken over GF(p) by liecore.restrict_scalars,
-which leaves the group as it is. Conjugacy classes are the orbits of the
-Ad_g on g; characters are the orbits of their transposes on the dual
-(orbit size p^{2i} <-> degree p^i). The g need only run over
-generators of G modulo its Frattini subgroup Phi(G), which corresponds to
-p g + g'. The reduced series and the Ad_g are computed once per table
-(per_table), each Ad_g becomes one permutation of the element indices, and
-the orbits close by min-label propagation.
+_hausdorff and bch_matrix_sum evaluate Hall elements by _hall_values.
+_hausdorff is the one group law on a table: the series reduced mod n on
+(B, N) arrays of residue rows over restrict_scalars(table), with the
+bracket read from the table's dense structure tensor, so one evaluation
+multiplies B pairs of elements. star is its one-row case, and
+centralizer_order scans G in blocks of rows.
+
+By the orbit method both censuses are orbit counts of the one group
+generated by the Ad_g on the additive group (Z/n)^N of the table over
+GF(p) or Z/p^e; a GF(p^f) table is first taken over GF(p) by
+liecore.restrict_scalars, which leaves the group as it is. Conjugacy
+classes are the orbits of the Ad_g on g; characters are the orbits of
+their transposes on the dual (orbit size p^{2i} <-> degree p^i). The g
+need only run over generators of G modulo its Frattini subgroup Phi(G),
+which corresponds to p g + g'. The law and the Ad_g are computed once per
+table (per_table): two evaluations of the series give the rows of every
+generator's Ad_g at once. Each Ad_g becomes one permutation of the
+element indices, the orbits close by min-label propagation, and two
+bincounts of the labels give the {orbit size: count} histogram.
 
 Group elements are plain coordinate tuples over the table's ring.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -200,40 +207,74 @@ def bch_matrix_sum(series, M, N):
 # ---------------------------------------------------------------------------
 # the group law on a table
 
+# The law runs over restrict_scalars(table), whose additive group is
+# (Z/n)^N with n = p (a field table) or p^e (over Z/p^e). Its elements are
+# the rows of (B, N) int64 arrays of residues, and one evaluation of the
+# reduced series multiplies B pairs of rows at once. Every product of two
+# residues is reduced mod n before it is summed.
 
 @per_table
-def _prepare(table):
-    """([(hall index, ring coefficient)], Hall basis) of bch(class), with
-    coefficients reduced into the table's ring."""
+def _law(table):
+    """(n, bracket, [(hall index, coefficient mod n)], Hall basis) of a
+    table over GF(p) or Z/p^e, the coefficients those of bch(class) reduced
+    mod n. bracket(U, V) gives the rows [U_b, V_b]; it reads the nonzero
+    entries T[i, j, k] = lambda_ij^k of the dense (N, N, N) tensor of the
+    table, so that coordinate k of a row sums the residues U_i V_j T[i, j, k]
+    mod n over at most N^2 entries. A modulus whose residues overflow int64
+    in a product, or in that sum, is a BudgetExceeded."""
     c = nilpotency_class(table)
-    p = table.ring.p
+    R, N = table.ring, table.h
+    p = R.p
     if c >= p:
         raise ClassTooLarge(f"nilpotency class {c} >= p = {p}")
+    n = R.q if is_field(R) else R.m
+    if max(n - 1, N * N) * (n - 1) > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"modulus {n} overflows int64 in the group law")
     series = bch(c)
-    R = table.ring
     reduced = []
     for deg in range(1, c + 1):
         for idx, fr in series.terms.get(deg, {}).items():
             if fr.denominator % p == 0:
                 raise DenominatorNotInvertible(f"{fr} at degree {deg}, p = {p}")
-            coeff = R.mul(R.embed(fr.numerator), R.inv(R.embed(fr.denominator)))
-            if not R.is_zero(coeff):
+            coeff = fr.numerator * pow(fr.denominator, -1, n) % n
+            if coeff:
                 reduced.append((idx, coeff))
-    return reduced, series.basis
+    T = np.zeros((N, N, N), dtype=np.int64)
+    for (i, j), row in table.lam.items():
+        for k, x in row.items():
+            T[i, j, k], T[j, i, k] = x, -x % n
+    i, j, k = np.nonzero(T)
+    lam, onto = T[i, j, k], np.eye(N, dtype=np.int64)[k]
+
+    def bracket(U, V):
+        return (U[:, i] * V[:, j] % n * lam % n) @ onto % n
+
+    return n, bracket, reduced, series.basis
+
+
+def _hausdorff(law, X, Y):
+    """The rows of X * Y: the reduced series at (X, Y), each Hall element
+    evaluated once on all B rows."""
+    n, bracket, reduced, basis = law
+    ev = _hall_values(basis, X, Y, bracket)
+    out = np.zeros(np.broadcast_shapes(X.shape, Y.shape), dtype=np.int64)
+    for idx, coeff in reduced:
+        out += ev(idx) * coeff % n
+        out %= n
+    return out
 
 
 def star(x, y, table):
-    """The group product in Lie-ring coordinates."""
-    reduced, basis = _prepare(table)
-    R, h = table.ring, table.h
-    ev = _hall_values(basis, tuple(x), tuple(y), table.bracket)
-    acc = [R.zero()] * h
-    for idx, coeff in reduced:
-        vec = ev(idx)
-        for t in range(h):
-            if not R.is_zero(vec[t]):
-                acc[t] = R.add(acc[t], R.mul(coeff, vec[t]))
-    return tuple(acc)
+    """The group product in Lie-ring coordinates: one row of _hausdorff. A
+    GF(p^f) element's digit s of coordinate i is index i f + s of the row
+    over restrict_scalars(table)."""
+    law = _law(restrict_scalars(table))
+    X, Y = np.array([x, y], dtype=np.int64).reshape(2, 1, -1) % law[0]
+    row = _hausdorff(law, X, Y)[0]
+    R = table.ring
+    if is_field(R) and R.f > 1:
+        return tuple(map(tuple, row.reshape(table.h, R.f).tolist()))
+    return tuple(row.tolist())
 
 
 def star_inverse(x, table):
@@ -289,39 +330,54 @@ def _generators(table):
     return [table.basis_vector(l) for l in range(h) if l not in pivots]
 
 
-def _ad_rows(table, g):
-    """Row matrix of Ad_g = exp(ad_g): row l is g * e_l * g^{-1}."""
-    ginv = star_inverse(g, table)
-    return [star(star(g, table.basis_vector(l), table), ginv, table)
-            for l in range(table.h)]
+def _ad_rows(table, gens):
+    """Row matrices of Ad_g = exp(ad_g) for the g in gens, over GF(p) or
+    Z/p^e: row l of g's is (g * e_l) * g^{-1}. The d N rows of all d
+    generators take two evaluations of the series."""
+    law = _law(table)
+    n, N = law[0], table.h
+    d = len(gens)
+    G = np.repeat(np.array(gens, dtype=np.int64).reshape(d, N), N, axis=0)
+    E = np.tile(np.eye(N, dtype=np.int64), (d, 1))
+    return _hausdorff(law, _hausdorff(law, G, E), -G % n).reshape(d, N, N)
 
 
 @per_table
 def _ads(table):
-    """Read-only Ad_g over Z/n for each g in _generators(table)."""
-    mats = [np.array(_ad_rows(table, g), dtype=np.int64) for g in _generators(table)]
+    """Read-only Ad_g over Z/n for each g in _generators(table), all from
+    one _ad_rows call."""
+    mats = [np.array(A, dtype=np.int64) for A in _ad_rows(table, _generators(table))]
     for A in mats:
         A.setflags(write=False)
     return mats
+
+
+@lru_cache(maxsize=16)
+def _digits(n, k):
+    """Read-only (n^k, k) table whose row x holds the base-n digits of x."""
+    digits = (np.arange(n**k, dtype=np.int64)[:, None]
+              // n ** np.arange(k, dtype=np.int64) % n)
+    digits.setflags(write=False)
+    return digits
 
 
 def _permutation(A, n, N):
     """The index permutation of x -> x A on (Z/n)^N, x coded as the
     mixed-radix index sum_l x_l n^l. The digits split into a low and a high
     half; the images of every low and every high digit vector come from two
-    small matmuls, and an element's image is the digit-wise sum of its two
-    halves' images less n where it reaches n, in the least unsigned dtype
-    that holds 2n - 2. Work runs over blocks of high halves, so memory stays
+    small matmuls with the digit tables of _digits, and an element's image
+    is the digit-wise sum of its two halves' images less n where it reaches
+    n, in the least unsigned dtype that holds 2n - 2. The index is
+    assembled digit by digit in the least unsigned dtype that holds both
+    that and n^N - 1. Work runs over blocks of high halves, so memory stays
     at a few arrays of group order."""
     lo = N - N // 2
     dt = np.min_scalar_type(2 * n - 2)
+    ct = np.promote_types(dt, np.min_scalar_type(n**N - 1))
 
     def images(block):
         """Row l: digit l of the image of each digit vector of the block."""
-        k = len(block)
-        digits = (np.arange(n**k, dtype=np.int64)[:, None]
-                  // n ** np.arange(k, dtype=np.int64) % n)
-        return np.ascontiguousarray((digits @ block % n).T, dtype=dt)
+        return np.ascontiguousarray((_digits(n, len(block)) @ block % n).T, dtype=dt)
 
     low, high = images(A[:lo]), images(A[lo:])
     size = low.shape[1]
@@ -330,11 +386,11 @@ def _permutation(A, n, N):
     for start in range(0, high.shape[1], step):
         x = high[:, start:start + step, None] + low[:, None, :]
         x = np.minimum(x, x - n)
-        code = perm[start * size:start * size + x[0].size].reshape(x.shape[1:])
-        code[...] = x[N - 1]
+        code = x[N - 1].astype(ct)
         for l in range(N - 2, -1, -1):
             code *= n
             code += x[l]
+        perm[start * size:start * size + code.size] = code.ravel()
     return perm
 
 
@@ -343,12 +399,15 @@ def _orbit_sizes(table, budget, transpose):
     transposes when `transpose`) on (Z/n)^N, the additive group of
     restrict_scalars(table), for g running over generators of G modulo its
     Frattini subgroup (_generators). Each generator becomes one
-    permutation P of the indices. Labels fall to the least index of
-    their orbit under label = min(label, label[P]), and each round squares
+    permutation P of the indices. Labels, in the least unsigned dtype that
+    holds every index, fall to the least index of their orbit under
+    label = min(label, label[P]), and each round squares
     every P, so one round covers twice the stretch of a cycle. Ad_g has
     p-power order, odd unless Ad_g = 1 (p = 2 forces class 1), so P^2
     generates the same cyclic group as P, and P^{-1} is a power of P: at
-    the fixed point the labels are constant on the orbits."""
+    the fixed point the labels are constant on the orbits. The histogram
+    is counted: one bincount of the labels gives each orbit's size at its
+    least index, a second counts the orbits of each size."""
     table = restrict_scalars(table)
     R, N = table.ring, table.h
     n = R.q if is_field(R) else R.m
@@ -358,7 +417,7 @@ def _orbit_sizes(table, budget, transpose):
         raise BudgetExceeded(f"{what} = {order} exceeds oracle budget {budget}")
     perms = [_permutation(A.T if transpose else A, n, N)
              for A in _ads(table)]
-    label = np.arange(order, dtype=np.int64)
+    label = np.arange(order, dtype=np.min_scalar_type(order - 1))
     while True:
         new = label
         for P in perms:
@@ -368,9 +427,9 @@ def _orbit_sizes(table, budget, transpose):
         label = new
         for P in perms:
             P[:] = P[P]
-    sizes, count = np.unique(np.unique(label, return_counts=True)[1],
-                             return_counts=True)
-    return dict(zip(sizes.tolist(), count.tolist()))
+    count = np.bincount(np.bincount(label))
+    sizes = np.flatnonzero(count[1:]) + 1
+    return dict(zip(sizes.tolist(), count[sizes].tolist()))
 
 
 def _p_power_exponent(n, p):
@@ -410,10 +469,16 @@ def coadjoint_census(table, budget=DEFAULT_ORACLE_BUDGET):
 
 
 def centralizer_order(table, x):
-    """|C_G(x)| by direct scan: g commutes with x iff g*x = x*g."""
-    R, h = table.ring, table.h
+    """|C_G(x)| by direct scan: g commutes with x iff g*x = x*g. The g run
+    in blocks of index ranges, each block one pair of array evaluations."""
+    flat = restrict_scalars(table)
+    law = _law(flat)
+    n, N = law[0], flat.h
+    x = np.array(x, dtype=np.int64).reshape(1, N) % n
+    radix = np.array([n**l for l in range(N)], dtype=np.int64)
+    step = max(1, _CHUNK // N**3)
     count = 0
-    for g in itertools.product(R.elements(), repeat=h):
-        if star(g, x, table) == star(x, g, table):
-            count += 1
+    for start in range(0, n**N, step):
+        g = np.arange(start, min(start + step, n**N), dtype=np.int64)[:, None] // radix % n
+        count += int(np.all(_hausdorff(law, g, x) == _hausdorff(law, x, g), axis=1).sum())
     return count

@@ -208,7 +208,7 @@ class LieRing:
 def echelon(rows, fs):
     """Reduced row echelon form. Pivots: leftmost nonzero column, first
     nonzero row, scaled monic; zero rows dropped. Deterministic."""
-    rows = [list(r) for r in rows]
+    rows = [list(r) for r in rows if any(not fs.is_zero(x) for x in r)]
     out = []
     ncols = len(rows[0]) if rows else 0
     col = 0
@@ -224,9 +224,12 @@ def echelon(rows, fs):
         for r in rows:
             c = r[col]
             if not fs.is_zero(c):
+                # only a row the pivot changed can have become zero
                 r = [fs.sub(x, fs.mul(c, y)) for x, y in zip(r, piv)]
+                if all(fs.is_zero(x) for x in r):
+                    continue
             reduced.append(r)
-        rows = [r for r in reduced if any(not fs.is_zero(x) for x in r)]
+        rows = reduced
         # clear the pivot column above
         out = [
             [fs.sub(x, fs.mul(o[col], y)) for x, y in zip(o, piv)]
@@ -354,26 +357,38 @@ def kernel_mod(C, ring):
 # validation
 
 
+def _signed_brackets(table):
+    """{(i, j): {k: coeff}} of [e_i, e_j] for every stored bracket, in both
+    orders: the table's i < j rows and their negatives."""
+    R = table.ring
+    out = {}
+    for (i, j), row in table.lam.items():
+        out[i, j] = row
+        out[j, i] = {k: R.neg(c) for k, c in row.items()}
+    return out
+
+
 def validate(table):
     """Raise AntisymmetryViolation / JacobiViolation / NotNilpotent unless
     the table is a valid nilpotent Lie ring."""
     R = table.ring
     h = table.h
+    br = _signed_brackets(table)
     # antisymmetry is structural: storage is i < j with the sign folded in,
     # and the constructor drops zero coefficients
     # Jacobi: [[ei,ej],el] + [[ej,el],ei] + [[el,ei],ej] = 0
     for i in range(h):
         for j in range(i + 1, h):
-            rij = table.bracket_basis(i, j)
+            rij = br.get((i, j), {})
             for l in range(j + 1, h):
-                rjl = table.bracket_basis(j, l)
-                rli = table.bracket_basis(l, i)
+                rjl = br.get((j, l), {})
+                rli = br.get((l, i), {})
                 if not (rij or rjl or rli):
                     continue
                 acc = {}
                 for row, t in ((rij, l), (rjl, i), (rli, j)):
                     for mvar, c in row.items():
-                        for k, lamk in table.bracket_basis(mvar, t).items():
+                        for k, lamk in br.get((mvar, t), {}).items():
                             acc[k] = R.add(acc.get(k, R.zero()), R.mul(c, lamk))
                 if any(not R.is_zero(v) for v in acc.values()):
                     raise JacobiViolation(i, j, l)
@@ -400,6 +415,7 @@ def lower_central_series(table):
     gamma_{i+1} the span of the [v, e_j] = sum_i v_i [e_i, e_j] for v in
     gamma_i, read off the stored brackets at v's nonzero coordinates."""
     h, R = table.h, table.ring
+    br = _signed_brackets(table)
     full = SubspaceBasis(R, h, [table.basis_vector(i) for i in range(h)],
                          None if is_field(R) else [R.m] * h)
     series, nxt = [full], derived(table)
@@ -413,7 +429,7 @@ def lower_central_series(table):
             for j in range(h):
                 out = [R.zero()] * h
                 for i, x in support:
-                    for k, c in table.bracket_basis(i, j).items():
+                    for k, c in br.get((i, j), {}).items():
                         out[k] = R.add(out[k], R.mul(x, c))
                 if any(not R.is_zero(y) for y in out):
                     brackets.append(tuple(out))

@@ -14,7 +14,9 @@ from pgc import (
     quadric_table,
     isaacs_cd_table,
     fm_table,
+    bch,
 )
+from pgc.liecore import nilpotency_class
 
 
 def heisenberg(ring):
@@ -136,3 +138,28 @@ def scaled_free_quotient(r, c, ring, shift, line):
                 image[low + t - (t > j)] = ring.sub(row.get(low + t, zero), ring.mul(xj, x))
         brackets[(i1, i2)] = image
     return LieRing(ring, free.h - 1, brackets, f"f({r},{c})/{ring} scaled by {shift}")
+
+
+def reference_star(x, y, table):
+    """The Hausdorff group product x * y, one element at a time in the
+    table's own ring: each Hall element of bch(class) is evaluated once with
+    table.bracket, and sum_i F_i(x, y) is collected with the series'
+    coefficients reduced into the ring. The oracle's array law must agree."""
+    R, h = table.ring, table.h
+    series = bch(nilpotency_class(table))
+    values = {1: tuple(x), 0: tuple(y)}
+
+    def ev(idx):
+        if idx not in values:
+            left, right = series.basis.elements[idx].parents
+            values[idx] = table.bracket(ev(left), ev(right))
+        return values[idx]
+
+    acc = [R.zero()] * h
+    for deg in range(1, series.c + 1):
+        for idx, fr in series.terms[deg].items():
+            coeff = R.mul(R.embed(fr.numerator), R.inv(R.embed(fr.denominator)))
+            vec = ev(idx)
+            for t in range(h):
+                acc[t] = R.add(acc[t], R.mul(coeff, vec[t]))
+    return tuple(acc)

@@ -508,6 +508,19 @@ def test_free_and_fit_reject_bad_parameters(argv, capsys):
     assert out == "" and err.startswith("pgc: error:")
 
 
+@pytest.mark.parametrize("argv, got", [
+    (["free", "-r", "1", "-c", "2", "-p", "5"], "got r = 1, c = 2"),
+    (["free", "-r", "2", "-c", "0", "-p", "5", "--json"], "got r = 2, c = 0"),
+    (["fit", "-r", "1", "-c", "2", "--target", "k", "--at", "5,7"], "got r = 1, c = 2"),
+    # the class-2 character formula answered f(1, 2) with exit 0
+    (["fit", "-r", "1", "-c", "2", "--target", "ch", "--at", "5,7"], "got r = 1, c = 2"),
+])
+def test_closed_forms_name_r_and_c_in_their_argument_error(argv, got, capsys):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"pgc: error: need r >= 2 generators and class >= 1, {got}\n"
+
+
 def test_free_and_fit_print_integers_beyond_the_digit_limit(capsys):
     # k(f(6,6)/GF(7)) has more decimal digits than the interpreter converts
     # by default; printing lifts that limit and puts it back
@@ -569,7 +582,7 @@ def test_oracle_both_censuses(tmp_path, capsys):
 ])
 def test_oracle_orbit_size_failures_exit_1(tmp_path, capsys, monkeypatch,
                                            flag, rows, message):
-    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda *args: rows)
+    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda table, gens: [rows] * len(gens))
     f = _write(tmp_path, HEIS5.replace("p=5", "p=3"))
     assert run(["oracle", f, flag]) == 1
     out, err = capsys.readouterr()

@@ -19,7 +19,7 @@ from pgc import (
 import pgc.lazard
 from pgc.lazard import _generators, _orbit_sizes, _permutation
 from pgc.liecore import is_field, restrict_scalars
-from conftest import field_pool, heisenberg, modular_pool
+from conftest import field_pool, heisenberg, modular_pool, reference_star
 
 
 def test_bch_low_degrees_exact():
@@ -57,6 +57,19 @@ def test_star_group_axioms_sampled():
             for w in pts:
                 assert star(star(u, v, t), w, t) == \
                     star(u, star(v, w, t), t)
+
+
+def test_star_at_the_largest_int64_modulus():
+    # residues below 3^19 multiply within int64, those below 3^20 do not;
+    # past the bound the array law refuses rather than wrap
+    m = 3**19
+    assert (m - 1) ** 2 < 2**63 <= (3 * m - 1) ** 2
+    t = heisenberg(ModRing(3, 19))
+    x, y = (m - 1, m - 2, 5), (m - 3, 7, m - 11)
+    assert star(x, y, t) == reference_star(x, y, t)
+    assert star(y, x, t) == reference_star(y, x, t)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        star((1, 0, 0), (0, 1, 0), heisenberg(ModRing(3, 20)))
 
 
 def test_star_requires_small_class():
@@ -151,7 +164,7 @@ def test_bch_terms_list_their_hall_indices_in_ascending_order():
 def test_non_power_class_size_is_a_named_error(monkeypatch):
     # conjugation swapping e1 and e2 has orbits of size 2, not a power of 3
     swap = [(0, 1, 0), (1, 0, 0), (0, 0, 1)]
-    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda *args: swap)
+    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda table, gens: [swap] * len(gens))
     with pytest.raises(NonPowerClass, match="class size 2"):
         conjugacy_census(heisenberg(make_field(3)))
 
@@ -159,7 +172,7 @@ def test_non_power_class_size_is_a_named_error(monkeypatch):
 def test_non_square_orbit_size_is_a_named_error(monkeypatch):
     # Ad = (e1 -> e1 + e2) has co-adjoint orbits of size 3, an odd power
     shear = [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
-    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda *args: shear)
+    monkeypatch.setattr(pgc.lazard, "_ad_rows", lambda table, gens: [shear] * len(gens))
     with pytest.raises(NonSquareOrbit, match="orbit size 3"):
         coadjoint_census(heisenberg(make_field(3)))
 
@@ -190,10 +203,11 @@ def test_oracle_does_not_import_the_counting_kernels():
     import ast
     import inspect
     from pgc.liecore import smith_mod
-    from pgc.commat import batch_rank, build_stacks, echelon_bases, _eliminate, stacked_ranks
+    from pgc.commat import (batch_rank, build_stacks, echelon_bases, _eliminate, stacked_ranks,
+                            structure_tensor)
     from pgc.enumctr import _walk
     kernels = [batch_rank, smith_mod, vectors_dual, _walk, echelon_bases, stacked_ranks,
-               build_stacks, _eliminate]
+               build_stacks, _eliminate, structure_tensor]
     banned = {fn.__name__ for fn in kernels}
     tree = ast.parse(inspect.getsource(pgc.lazard))
     names = {a.asname or a.name for node in ast.walk(tree)
@@ -286,7 +300,7 @@ def test_ad_is_computed_once_per_generator_and_series(monkeypatch):
     ad_rows = pgc.lazard._ad_rows
 
     def counted(*args):
-        calls.append(args[1])
+        calls.extend(args[1])
         return ad_rows(*args)
 
     monkeypatch.setattr(pgc.lazard, "_ad_rows", counted)

@@ -28,7 +28,8 @@ from pgc.freenil import witt
 from pgc.liecore import nilpotency_class, smith_mod, span_mod
 from pgc.lazard import _mat_mul
 
-from conftest import change_basis, form_matrix, scaled_free_quotient, skew_form
+from conftest import (change_basis, field_pool, form_matrix, modular_pool, reference_star,
+                      scaled_free_quotient, skew_form)
 from test_liecore import _generated, _identity, _matmul_mod
 
 N_BILINEAR = 400
@@ -44,10 +45,12 @@ N_KERNEL_CENSUS = 100
 N_SKEW_CENSUS = 100
 N_SCALED_QUOTIENTS = 12
 N_FIELD_QUOTIENTS = 15
+N_STAR_REFERENCE = 60
 RANDOM_CASE_BUDGET = (N_BILINEAR + N_EVEN_RANK + N_PFAFFIAN + N_BCH_MATRIX
                       + N_STAR_ASSOC + N_CLASS2_ROUTES + N_SMITH_CLOSURE
                       + N_EXTENSION_ORACLE + N_FREE_QUOTIENTS + N_KERNEL_CENSUS
-                      + N_SKEW_CENSUS + N_SCALED_QUOTIENTS + N_FIELD_QUOTIENTS)
+                      + N_SKEW_CENSUS + N_SCALED_QUOTIENTS + N_FIELD_QUOTIENTS
+                      + N_STAR_REFERENCE)
 
 _SETTINGS = dict(deadline=None, derandomize=True)
 
@@ -224,6 +227,26 @@ def test_star_group_axioms_random_points(u, v, w):
     zero = (0,) * 5
     assert star(u, zero, t) == tuple(u)
     assert star(u, star_inverse(u, t), t) == zero
+
+
+_STAR_POOL = field_pool() + modular_pool()
+
+
+@st.composite
+def _element_pair(draw):
+    """(table, x, y): a pool table over GF(p), GF(p^f) or Z/p^e and two
+    elements of it, coordinates drawn from its ring's element list."""
+    t = draw(st.sampled_from(_STAR_POOL))
+    coord = st.sampled_from(t.ring.elements())
+    x, y = (tuple(draw(coord) for _ in range(t.h)) for _ in range(2))
+    return t, x, y
+
+
+@settings(max_examples=N_STAR_REFERENCE, **_SETTINGS)
+@given(_element_pair())
+def test_star_equals_the_per_element_reference(case):
+    t, x, y = case
+    assert star(x, y, t) == reference_star(x, y, t)
 
 
 @st.composite
