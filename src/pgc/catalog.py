@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 
 from .field import make_field, prime_power
 from .liecore import LieRing, is_field
-from .commat import build_commutator_matrices, check_points, projective_rank_census
-from .enumctr import CountVector, DEFAULT_BUDGET, _exact_div, rekey_q_to_p
+from .commat import build_commutator_matrices, projective_rank_census
+from .enumctr import (CountVector, DEFAULT_BUDGET, _exact_div, _point_price, _within,
+                      rekey_q_to_p)
 from .freenil import (UnknownFixture, char_vector_closed, class_vector_closed,
                       free_dimension)
 
@@ -120,15 +121,16 @@ def pfaffian_case_vectors(table, budget=DEFAULT_BUDGET):
     is {a-2, a} and whose Pfaffian hypersurface contains no line. n counts
     the projective points of rank a-2; the three nonzero entries of each
     vector follow in closed form, keyed by exponents of p. Raises
-    HypothesesFailed otherwise."""
+    HypothesesFailed otherwise, and BudgetExceeded before the projective
+    census starts if its points (see enumctr._price) exceed budget."""
     fs = table.ring
     if not is_field(fs):
         raise ValueError("pfaffian_case_vectors requires a field table")
     q, h = fs.q, table.h
     A, B = build_commutator_matrices(table)
     a, b = A.nvars, B.nvars
-    check_points(fs, b, budget)
-    census, line_ok = projective_rank_census(B, budget)
+    _within(budget, "the Pfaffian formula", _point_price(fs, B.codes.shape))
+    census, line_ok = projective_rank_census(B)
     n = census.get(a - 2, 0)
     report = PfaffianReport(a=a, b=b, n=n, rank_set=set(census),
                             line_condition=line_ok)

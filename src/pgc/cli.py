@@ -368,11 +368,8 @@ def _cmd_oracle(args):
     t = _load(args.file)
     validate(t)
     both = not (args.classes or args.orbits)
-    cc = ch = None
-    if args.classes or both:
-        cc = conjugacy_census(t, args.budget)
-    if args.orbits or both:
-        ch = coadjoint_census(t, args.budget)
+    cc = conjugacy_census(t, args.budget) if args.classes or both else None
+    ch = coadjoint_census(t, args.budget) if args.orbits or both else None
     if cc is not None and ch is not None and cc.total() != ch.total():
         print(f"oracle mismatch: {cc.total()} classes vs "
               f"{ch.total()} irreducible characters")
@@ -457,17 +454,11 @@ def _cmd_fit(args):
         poly = poly_fit(samples, integral=True)
         print(f"k = {_poly_str(poly.coeffs, 'q')}")
         return 0
-    if args.target == "cc":
-        vecs = {q: class_vector_closed(r, c, q) for q in nodes}
-        label = "cc"
-    else:
-        vecs = {q: char_vector_closed(r, c, q) for q in nodes}
-        label = "ch"
-    keys = sorted({i for v in vecs.values() for i in v.entries})
-    for i in keys:
-        samples = [(q, vecs[q].entries.get(i, 0)) for q in nodes]
-        poly = poly_fit(samples, integral=True)
-        print(f"{label}[{i}] = {_poly_str(poly.coeffs, 'q')}")
+    closed = class_vector_closed if args.target == "cc" else char_vector_closed
+    vecs = {q: closed(r, c, q) for q in nodes}
+    for i in sorted({i for v in vecs.values() for i in v.entries}):
+        poly = poly_fit([(q, vecs[q].entries.get(i, 0)) for q in nodes], integral=True)
+        print(f"{args.target}[{i}] = {_poly_str(poly.coeffs, 'q')}")
     return 0
 
 
@@ -530,9 +521,20 @@ def _cmd_verify(args):
 # argument parsing
 
 
+def budget(text):
+    """An integer of at least 0; argparse names the type after this function."""
+    if (n := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"{n} is below 0")
+    return n
+
+
 @lru_cache(maxsize=None)
 def _build_parser():
     """The argument parser, built once per process: run() reuses it."""
+    census = dict(type=budget, default=DEFAULT_BUDGET,
+                  help="most matrices one route's censuses may rank (default %(default)s)")
+    oracle = dict(type=budget, default=DEFAULT_ORACLE_BUDGET,
+                  help="most group elements the oracle may enumerate (default %(default)s)")
     ap = argparse.ArgumentParser(
         prog="pgc",
         description="conjugacy classes and character degrees of finite "
@@ -553,7 +555,7 @@ def _build_parser():
     p.add_argument("--method", choices=("auto", "matrix", "dual"),
                    default="auto")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", **census)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_vectors)
 
@@ -566,7 +568,7 @@ def _build_parser():
     g.add_argument("--closed-form", action="store_true")
     g.add_argument("--enumerate", action="store_true")
     p.add_argument("--emit", metavar="FILE")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", **census)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_free)
 
@@ -574,7 +576,7 @@ def _build_parser():
     p.add_argument("file")
     p.add_argument("--classes", action="store_true")
     p.add_argument("--orbits", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", **oracle)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("catalog", help="worked families from the literature")
@@ -597,8 +599,8 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="cross-check every applicable method")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--oracle-budget", type=int, default=DEFAULT_ORACLE_BUDGET)
+    p.add_argument("--budget", **census)
+    p.add_argument("--oracle-budget", **oracle)
     p.set_defaults(func=_cmd_verify)
 
     return ap

@@ -117,16 +117,13 @@ def rank(matrix, fs):
 
 _STEP = 1 << 15  # points per block of the projective census and its lines
 
-# Element tables are O(q) int64 arrays, so larger fields are refused; only
-# nvars = 1 or a raised budget lets q^n <= budget reach them.
+# Element tables are O(q) int64 arrays, so larger fields are refused.
 _MAX_TABLE_Q = 1 << 20
 
 
-def check_points(fs, n, budget):
-    """Raise BudgetExceeded unless q^n fits the budget and an int64 index."""
+def check_points(fs, n):
+    """Raise BudgetExceeded unless q^n fits an int64 point index."""
     total = fs.q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
     if total >= 1 << 63:
         raise BudgetExceeded(f"q^n = {total} does not fit a 64-bit point index")
 
@@ -323,23 +320,25 @@ def _free_entries(exps, box):
 def echelon_bases(ring, exps, k, step):
     """The level-k bases of the walk of sum_c Z/r^exps[c] ((r, e) =
     radix(ring)), as descriptors (box, start, stop) of blocks of at most
-    step bases of one box; build_stacks builds their stacks. Level 1 holds one
-    generator per cyclic subgroup, so one point per orbit of the units: box
-    (s, (j,)) those of order r^s whose first coordinate of that order, j,
-    is r^(exps[j] - s); coordinates before j have order below r^s, those
-    after it at most r^s. Over GF(q) (every exps[c] 1, r = q, s = 1; k >= 2
-    needs it) level k holds every k-dimensional subspace of F_q^n once as
-    its reduced echelon basis, box (1, piv) per pivot set piv in
-    combinations order; level 1 is the monic points in projective_points
-    order. The free entries of a box are the base-r digits of a running
-    index, last fastest, each scaled into its subgroup."""
+    step bases of one box (the whole box if step is None); build_stacks
+    builds their stacks. Level 1 holds one generator per cyclic subgroup,
+    so one point per orbit of the units: box (s, (j,)) those of order r^s
+    whose first coordinate of that order, j, is r^(exps[j] - s);
+    coordinates before j have order below r^s, those after it at most r^s.
+    Over GF(q) (every exps[c] 1, r = q, s = 1; k >= 2 needs it) level k
+    holds every k-dimensional subspace of F_q^n once as its reduced
+    echelon basis, box (1, piv) per pivot set piv in combinations order;
+    level 1 is the monic points in projective_points order. The free
+    entries of a box are the base-r digits of a running index, last
+    fastest, each scaled into its subgroup."""
     r = radix(ring)[0]
     for s in range(1, max(exps, default=1) + 1):
         for piv in combinations(range(len(exps)), k):
             if min(exps[j] for j in piv) >= s:
                 size = r ** sum(t for *_, t in _free_entries(exps, (s, piv)))
-                for start in range(0, size, step):
-                    yield (s, piv), start, min(start + step, size)
+                width = step or size
+                for start in range(0, size, width):
+                    yield (s, piv), start, min(start + width, size)
 
 
 def _runs(start, stop, radices):
@@ -522,7 +521,7 @@ def projective_lines(fs, b):
         yield np.concatenate([on_v[:, None], on_u], axis=1)
 
 
-def projective_rank_census(B, budget=10**9):
+def projective_rank_census(B):
     """Counts of each rank over P^{b-1}(F_q) plus the line condition:
     does every projective line contain a point of full rank? The ranks
     come from the k = 1 level of the echelon walk: B(x) is the stack at
@@ -531,7 +530,7 @@ def projective_rank_census(B, budget=10**9):
     b = B.nvars
     if b < 1:
         return {}, True
-    check_points(fs, b, budget)
+    check_points(fs, b)
     codes = B.codes.transpose(2, 1, 0)
     ranks = np.concatenate([stacked_ranks(fs, codes, (1,) * b, [blk])
                             for blk in echelon_bases(fs, (1,) * b, 1, _STEP)])

@@ -44,7 +44,7 @@ from .commat import (
     structure_tensor,
 )
 
-DEFAULT_BUDGET = 10**9
+DEFAULT_BUDGET = 10**9  # matrices one route's censuses may rank (see _price)
 _CHUNK = 1 << 15
 
 
@@ -148,14 +148,13 @@ def _walk(M, codes, exps, levels, workers):
     stacks of codes (n, R, C) (see stacked_ranks), l a row-span length over
     Z/p^e. A level-1 generator of order r^s counts r^(s-1), so level 1
     counts #{x != 0 : M_x has length l} / (r - 1). Each level's boxes are
-    cut into blocks of step bases, step bringing a block to about _CHUNK
-    matrices of M's size; a block may join the ends of several boxes, and
-    only a level's last block is shorter. A block's stacks are odometer
-    sums built straight in the elimination's layout (see build_stacks); no
-    basis is written out. With workers > 1 the blocks go round robin to a
-    thread pool (numpy releases the GIL), each thread building only its
-    own; the pool has at most one thread per usable CPU and per block. The
-    counts do not depend on workers."""
+    cut into blocks of _step bases; a block may join the ends of several
+    boxes, and only a level's last block is shorter (_price counts them).
+    A block's stacks are odometer sums built straight in the elimination's
+    layout (see build_stacks); no basis is written out. With workers > 1
+    the blocks go round robin to a thread pool (numpy releases the GIL),
+    each thread building only its own; the pool has at most one thread per
+    usable CPU and per block. The counts do not depend on workers."""
     ring = M.fs
     r, e = radix(ring)
     n, R, C = codes.shape
@@ -163,7 +162,7 @@ def _walk(M, codes, exps, levels, workers):
 
     def blocks():
         for i, k in enumerate(levels):
-            step = max(1, _CHUNK * max(M.rows * M.cols, 1) // max(k * R * n, 1))
+            step = _step(_CHUNK, M.rows * M.cols, k, R, n)
             block, room = [], step
             for box, start, stop in echelon_bases(ring, exps, k, step):
                 while start < stop:
@@ -193,6 +192,51 @@ def _walk(M, codes, exps, levels, workers):
         return sum(ex.map(shard, range(workers), [workers] * workers))
 
 
+def _step(chunk, size, k, R, n):
+    """Bases per block at level k of a walk of codes (n, R, C) of a form of
+    size entries: a block's (kR) x n stacks hold about chunk such forms."""
+    return max(1, chunk * max(size, 1) // max(k * R * n, 1))
+
+
+# batch_rank work (matrices x rows x cols^2) as slow as one block's fixed cost
+_BLOCK_WORK = 1 << 13
+
+
+@lru_cache(maxsize=None)
+def _price(ring, size, shape, exps, levels, chunk, cap=None):
+    """(bases, blocks, work) of _walk over codes of shape (n, R, C), exps and
+    levels, for a form of size entries, at _CHUNK = chunk: the bases of each
+    level, summed over the boxes of echelon_bases (none is built), cut into
+    blocks by _step, and their batch_rank work, bases x rows x cols^2 of the
+    stacks as build_stacks lays them out, plus _BLOCK_WORK a block. Once the
+    work passes cap the sums stop there, as the census costs more."""
+    n, R, _ = shape
+    bases = blocks = work = 0
+    for k in levels:
+        N, cost = 0, max(k * R, n) * min(k * R, n) ** 2
+        for _, start, stop in echelon_bases(ring, exps, k, None):
+            N += stop - start
+            if cap is not None and work + N * cost > cap:
+                return bases + N, blocks, work + N * cost
+        bases, blocks = bases + N, blocks - (-N // _step(chunk, size, k, R, n))
+        work += N * cost
+    return bases, blocks, work + blocks * _BLOCK_WORK
+
+
+def _point_price(ring, shape, exps=None):
+    """_price of _point_census of a form of shape (nvars, rows, cols)."""
+    n, R, C = shape
+    return _price(ring, R * C, (C, R, n), exps or (1,) * n, (1,), _CHUNK)
+
+
+def _within(budget, route, *prices):
+    """Raise BudgetExceeded, before any census of route starts, if the bases
+    of the _price of its censuses exceed budget in all."""
+    if sum(bases := [price[0] for price in prices]) > budget:
+        raise BudgetExceeded(f"{route} would rank {' + '.join(map(str, bases))} "
+                             f"bases, which exceeds budget {budget}")
+
+
 def _point_census(M, workers, exps=None):
     """{l: #{x : M(x) has rank (row-span length over Z/p^e) l}} over x in
     sum_v Z/r^exps[v] (F_q^nvars if exps is None): level 1 of the walk over
@@ -209,10 +253,6 @@ def _qbinom(d, k, q):
     """[d choose k]_q, the number of k-dim subspaces of F_q^d (0 if k > d)."""
     num = prod(q ** max(d - i, 0) - 1 for i in range(k))
     return num // prod(q**i - 1 for i in range(1, k + 1))
-
-
-# batch_rank work (matrices x rows x cols^2) as slow as one block's fixed cost
-_BLOCK_WORK = 1 << 13
 
 
 @lru_cache(maxsize=None)
@@ -256,22 +296,6 @@ def _kernel_levels(q, C, skew, known=()):
                          for j, b in basis.items())
 
 
-@lru_cache(maxsize=None)
-def _census_plan(q, n, R, C, skew, known=()):
-    """Levels of the kernel census of an R x C matrix in n variables over
-    GF(q), given S_k for the k in known, or None if the point census costs
-    less: batch_rank work plus _BLOCK_WORK a block. Points:
-    (q^n - 1)/(q - 1) R x C matrices in n blocks. Level k walked:
-    [C' choose k]_q stacks k R' x n in comb(C', k) blocks, C' = min(R, C),
-    R' = max; and one block more for the solve."""
-    points = (q**n - 1) // (q - 1) * R * C * C + n * _BLOCK_WORK
-    R, C = max(R, C), min(R, C)
-    levels = _kernel_levels(q, C, skew, known)[0]
-    kernel = _BLOCK_WORK + sum(_qbinom(C, k, q) * k * R * n * n
-                               + comb(C, k) * _BLOCK_WORK for k in levels)
-    return levels if kernel < points else None
-
-
 def _kernel_census(M, workers, known=None):
     """Rank counts from the subspaces W of F_q^C, M transposed to C =
     min(R, C) columns. {x : W <= ker M(x)} = ker M_W (see stacked_ranks),
@@ -295,16 +319,28 @@ def _kernel_census(M, workers, known=None):
     return {C - d: x for d, (x, _) in sorted(g.items(), reverse=True) if x}
 
 
+def _cheaper(M, known=()):
+    """(kernel, price): whether the kernel census of M, given the S_k of the
+    k in known, costs less than the point census by _price (summed up to the
+    point census's work), and the cheaper one's price. check_points first."""
+    check_points(M.fs, M.nvars)
+    n, R, C = M.codes.shape
+    R, C = max(R, C), min(R, C)
+    levels = _kernel_levels(M.fs.q, C, M.skew, tuple(known))[0]
+    points = _point_price(M.fs, M.codes.shape)
+    kernel = _price(M.fs, R * C, (n, R, C), (1,) * C, levels, _CHUNK, points[2])
+    return (True, kernel) if kernel[2] < points[2] else (False, points)
+
+
 def rank_distribution(M, budget=DEFAULT_BUDGET, workers=1, known=None):
     """{rank: #points x in F_q^nvars with rk M(x) = rank}, by the census
-    _census_plan rates cheaper; the kernel census reads the S_k of known
-    (see _kernel_census). workers shards it over threads; the result does
-    not depend on workers."""
-    check_points(M.fs, M.nvars, budget)
-    levels = _census_plan(M.fs.q, M.nvars, M.rows, M.cols, M.skew, tuple(known or ()))
-    if levels is not None:
-        return _kernel_census(M, workers, known)
-    return _point_census(M, workers)
+    _price rates cheaper (see _cheaper); the kernel census reads the S_k
+    of known (see _kernel_census). BudgetExceeded before it starts if it
+    would rank more than budget bases. workers shards it over threads; the
+    result does not depend on workers."""
+    kernel, price = _cheaper(M, tuple(known or ()))
+    _within(budget, "the kernel census" if kernel else "the point census", price)
+    return _kernel_census(M, workers, known) if kernel else _point_census(M, workers)
 
 
 def rank_distribution_A(A, budget=DEFAULT_BUDGET, workers=1):
@@ -338,8 +374,9 @@ def _check_class(table):
 def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
     """(cc, ch) over GF(p^f) by count_vectors, an image of rank i having
     p^(f i) elements. workers shards each census over threads (see
-    rank_distribution). Both budgets are checked before either census
-    starts. A's census is taken first, and it gives B's kernel census its
+    rank_distribution). BudgetExceeded before either census starts if
+    their bases, A's and B's seeded at level 1, exceed budget in all (see
+    _price). A's census is taken first, and it gives B's kernel census its
     level 1: the stack of B at W = <w> is A(w), so S_1 = sum over the lines
     <x> of F_q^a of q^(b - rk A(x)) = (|S(G)| - q^b) / (q - 1), with |S(G)|
     = s_size_from_mu. So each A(x) is ranked once, and the class and
@@ -349,8 +386,7 @@ def vectors_theoremB(table, budget=DEFAULT_BUDGET, workers=1):
         raise ValueError("vectors_theoremB requires a field table")
     _check_class(table)
     A, B = build_commutator_matrices(table)
-    check_points(fs, A.nvars, budget)
-    check_points(fs, B.nvars, budget)
+    _within(budget, "Theorem B", _cheaper(A)[1], _cheaper(B, (1,))[1])
     q, f, h = fs.q, fs.f, table.h
     mu = rank_distribution_A(A, budget, workers)
     level1 = _exact_div(s_size_from_mu(mu.entries, B.nvars, q) - q**B.nvars, q - 1)
@@ -393,8 +429,9 @@ def vectors_dual(table, budget=DEFAULT_BUDGET, workers=1):
     of the form omega[., .] in g. A field table runs over GF(p) as
     restrict_scalars gives it, where lengths are ranks. Both sides are
     point censuses (see _point_census) over Smith coordinates, so each
-    ranks one point per orbit of the units; workers shards them over
-    threads."""
+    ranks one point per orbit of the units, and BudgetExceeded before
+    either starts if their bases (see _price) exceed budget in all;
+    workers shards them over threads."""
     table = restrict_scalars(table)
     ring, h = table.ring, table.h
     p, e = radix(ring)  # over GF(p) (1 = e) or Z/p^e
@@ -404,13 +441,6 @@ def vectors_dual(table, budget=DEFAULT_BUDGET, workers=1):
     dsub = derived(table)
     zorder = z.order()
     gorder = m**h
-    quo_order = gorder // zorder
-    if quo_order + dsub.order() > budget:  # the points counted
-        raise BudgetExceeded(
-            f"|g/z| + |g'^| = {quo_order} + {dsub.order()} exceed budget {budget}")
-    if max(quo_order, dsub.order()) >= 1 << 63:
-        raise BudgetExceeded("|g/z| or |g'^| does not fit a 64-bit point index")
-    check_modulus(m, h)
 
     # g/z is the sum of the Z/d_i on the Vinv_i, d_i > 1; v in g' has Smith
     # coordinates (v V')_i, d'_i < m, and a character is w = sum_i c_i
@@ -422,20 +452,23 @@ def vectors_dual(table, budget=DEFAULT_BUDGET, workers=1):
     dd, V, _ = smith_mod(dsub.vectors, m, h)
     quo = [i for i, d in enumerate(dz) if d > 1]
     active = [i for i, d in enumerate(dd) if d != m]
+    log = {p**a: a for a in range(e + 1)}
+    # (shape, exps) of ad_x and of B_omega, priced before T is built
+    a, c = len(quo), len(active)
+    sides = [((a, a, c), tuple(log[dz[i]] for i in quo)),
+             ((c, a, a), tuple(log[m // dd[i]] for i in active))]
+    _within(budget, "the dual route", *(_point_price(ring, *side) for side in sides))
+    if max(gorder // zorder, dsub.order()) >= 1 << 63:
+        raise BudgetExceeded("|g/z| or |g'^| does not fit a 64-bit point index")
+    check_modulus(m, h)
+
     G = np.array([Vinv[i] for i in quo], dtype=np.int64).reshape(-1, h)
     T = np.tensordot(G, structure_tensor(table), 1) % m
     T = np.tensordot(T, np.array(V, dtype=np.int64)[:, active], 1) % m
     T = np.einsum("bj,ajk->abk", G, T) % m
-
-    log = {p**a: a for a in range(e + 1)}
-
-    def lengths(codes, orders):
-        exps = tuple(log[d] for d in orders)
-        return _point_census(LinearFormMatrix(ring, codes), workers, exps)
-
-    return count_vectors(lengths(T, [dz[i] for i in quo]),
-                         lengths(T.transpose(2, 0, 1), [m // dd[i] for i in active]),
-                         zorder, _exact_div(gorder, dsub.order()), p)
+    cs, ds = (_point_census(LinearFormMatrix(ring, codes), workers, exps)
+              for codes, (_, exps) in zip((T, T.transpose(2, 0, 1)), sides))
+    return count_vectors(cs, ds, zorder, _exact_div(gorder, dsub.order()), p)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +489,6 @@ class QPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * q + c
         return acc if acc.denominator != 1 else int(acc)
-
-    def degree(self):
-        return len(self.coeffs) - 1
 
     def qminus1_coefficients(self):
         """Coefficients b_j with P(q) = sum_j b_j (q-1)^j."""
@@ -488,22 +518,17 @@ def poly_fit(samples, integral=False):
     nodes = [q for q, _ in pts]
     if len(set(nodes)) != len(nodes):
         raise DuplicateNode(f"repeated interpolation node in {nodes}")
-    n = len(pts)
-    coeffs = [Fraction(0)] * n
+    coeffs = [Fraction(0)] * len(pts)
     for i, (qi, vi) in enumerate(pts):
         # numerator polynomial prod_{j != i} (q - q_j), times v_i / denom
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (qj, _) in enumerate(pts):
-            if j == i:
-                continue
+        num, denom = [Fraction(1)], Fraction(1)
+        for qj in nodes[:i] + nodes[i + 1:]:
             num = [Fraction(0)] + num
             for t in range(len(num) - 1):
                 num[t] -= qj * num[t + 1]
             denom *= qi - qj
-        scale = Fraction(vi) / denom
-        for t in range(len(num)):
-            coeffs[t] += scale * num[t]
+        for t, c in enumerate(num):
+            coeffs[t] += Fraction(vi) / denom * c
     if integral and any(c.denominator != 1 for c in coeffs):
         raise NonIntegralCoefficient(str(coeffs))
     return QPolynomial(coeffs)

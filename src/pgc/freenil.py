@@ -121,35 +121,17 @@ def hall_basis(r, c):
     come first, e_1 < ... < e_r."""
     _check_free_parameters(r, c)
     names = ("y", "x") if r == 2 else tuple(f"x{i+1}" for i in range(r))
-    elements = []
-    layers = []
-    pair_index = {}
-    gens = []
-    for i in range(r):
-        e = BasicCommutator(i, 1, None, names[i])
-        gens.append(e)
-        elements.append(e)
-    layers.append(gens)
+    elements = [BasicCommutator(i, 1, None, names[i]) for i in range(r)]
+    layers, pair_index = [list(elements)], {}
     for w in range(2, c + 1):
-        cands = []
-        for u in elements:
-            wu = u.weight
-            for v in elements:
-                if v.weight != w - wu:
-                    continue
-                if u.index <= v.index:
-                    continue
-                if u.parents is not None and u.parents[1] > v.index:
-                    continue
-                cands.append((u.index, v.index))
-        cands.sort()
+        cands = sorted((u.index, v.index) for u in elements for v in elements
+                       if v.weight == w - u.weight and u.index > v.index
+                       and (u.parents is None or u.parents[1] <= v.index))
         layer = []
         for (ui, vi) in cands:
             u, v = elements[ui], elements[vi]
-            if v.parents is None:
-                disp = u.display + v.display
-            else:
-                disp = f"({u.display})({v.display})"
+            disp = (u.display + v.display if v.parents is None
+                    else f"({u.display})({v.display})")
             e = BasicCommutator(len(elements), w, (ui, vi), disp)
             elements.append(e)
             layer.append(e)
@@ -198,12 +180,8 @@ def free_table(r, c, ring):
     exists at that characteristic."""
     basis = hall_basis(r, c)
     h = basis.dimension
-    brackets = {}
-    for i in range(h):
-        for j in range(i):
-            row = collect(i, j, basis)
-            if row:
-                brackets[(i, j)] = {k: n for k, n in row.items()}
+    brackets = {(i, j): dict(row) for i in range(h) for j in range(i)
+                if (row := collect(i, j, basis))}
     table = LieRing(ring, h, brackets, f"f({r},{c})")
     table.hall = basis
     return table

@@ -143,16 +143,9 @@ class LieRing:
                     continue
                 if i == j:
                     raise AntisymmetryViolation(i, j, k)
-                if i < j:
-                    key, val = (i, j), c
-                else:
-                    key, val = (j, i), ring.neg(c)
-                tgt = lam.setdefault(key, {})
-                if k in tgt:
-                    if tgt[k] != val:
-                        raise AntisymmetryViolation(i, j, k)
-                else:
-                    tgt[k] = val
+                key, val = ((i, j), c) if i < j else ((j, i), ring.neg(c))
+                if lam.setdefault(key, {}).setdefault(k, val) != val:
+                    raise AntisymmetryViolation(i, j, k)
         self.lam = {ij: row for ij, row in lam.items() if row}
         self._memo = {}  # per_table values
 

@@ -407,8 +407,23 @@ def test_vectors_method_restrictions(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd, flag, bound", [
+    ("vectors", "--budget", "most matrices one route's censuses may rank"),
+    ("verify", "--budget", "most matrices one route's censuses may rank"),
+    ("verify", "--oracle-budget", "most group elements the oracle may enumerate"),
+    ("oracle", "--budget", "most group elements the oracle may enumerate"),
+])
+def test_budgets_say_what_they_bound_and_refuse_negatives(tmp_path, capsys, cmd, flag,
+                                                          bound):
+    assert run([cmd, "--help"]) == 0
+    assert f"{flag} {flag[2:].replace('-', '_').upper()} {bound}" in " ".join(
+        capsys.readouterr().out.split())
+    assert run([cmd, _write(tmp_path, HEIS5), flag, "-1"]) == 2
+    assert f"argument {flag}: -1 is below 0" in capsys.readouterr().err
+
+
 def test_vectors_budget_exceeded_exit_3(tmp_path, capsys):
-    assert run(["vectors", _write(tmp_path, HEIS5), "--budget", "3"]) == 3
+    assert run(["vectors", _write(tmp_path, HEIS5), "--budget", "0"]) == 3
     capsys.readouterr()
 
 
@@ -790,7 +805,7 @@ def test_verify_modular_table(tmp_path, capsys):
 
 def test_verify_nothing_applicable_exit_3(tmp_path, capsys):
     f = _write(tmp_path, HEIS9_EXT)
-    assert run(["verify", f, "--budget", "2", "--oracle-budget", "2"]) == 3
+    assert run(["verify", f, "--budget", "0", "--oracle-budget", "2"]) == 3
     assert "no verification path applies" in capsys.readouterr().err
 
 

@@ -26,7 +26,7 @@ import pgc.enumctr
 from pgc.commat import batch_rank, structure_tensor
 from pgc.enumctr import DuplicateNode, NonIntegralCoefficient, InexactDivision, count_vectors
 from pgc.liecore import centre, derived, restrict_scalars, smith_mod
-from pgc.enumctr import _census_plan, _kernel_census, _kernel_levels, _point_census
+from pgc.enumctr import _cheaper, _kernel_census, _kernel_levels, _point_census
 from conftest import (change_basis, heisenberg, dual_pool, field_pool, form_matrix,
                       modular_pool, skew_form)
 
@@ -248,8 +248,9 @@ def test_thread_pool_never_exceeds_the_cpus_or_the_blocks(monkeypatch):
 
 def _plan(t, side):
     M = build_commutator_matrices(t)["AB".index(side)]
-    levels = _census_plan(M.fs.q, M.nvars, M.rows, M.cols, M.skew)
-    return levels if levels is None else set(levels)
+    if not _cheaper(M)[0]:
+        return None
+    return set(_kernel_levels(M.fs.q, min(M.rows, M.cols), M.skew)[0])
 
 
 def test_route_rule_on_benchmark_censuses():
@@ -265,15 +266,16 @@ def test_route_rule_on_benchmark_censuses():
 
 
 def test_route_rule_counts_a_fixed_cost_per_block():
-    # A census of a few matrices costs about its blocks: the one point
-    # of P^0(F_27) beats one subspace plus the exact solve, and 133 points
-    # beat the 2.4e8 subspaces of levels 1, 2 and 6 of F_11^6
-    assert _plan(heisenberg(make_field(3, 3)), "B") is None
+    # A census of a few matrices costs about its blocks: the one 4 x 1
+    # stack of F_27^2 (level 2) beats the one 2 x 2 point of P^0(F_27),
+    # the exact solve walking nothing, and 133 points beat the 2.4e8
+    # subspaces of levels 1, 2 and 6 of F_11^6
+    assert _plan(heisenberg(make_field(3, 3)), "B") == {2}
     assert _plan(boston_isaacs_table(2, 11), "B") is None
-    # 364 points in 6 blocks beat 27 subspaces in 7 blocks and the solve
+    # 364 points in one block beat 27 subspaces in three
     assert _plan(boston_isaacs_table(1, 3), "A") is None
-    # the 2 x 1 A(X) of heis/GF(27): one subspace in one block against 28
-    # points in two blocks, and the kernel census measured faster
+    # the 2 x 1 A(X) of heis/GF(27): one subspace against 28 points, one
+    # block each, and the kernel census measured faster
     assert _plan(heisenberg(make_field(3, 3)), "A") == {1}
 
 
@@ -328,7 +330,7 @@ def test_seeded_B_census_equals_the_unseeded(monkeypatch):
         nu = rank_distribution_B(B)
         assert known == {1: (s_size_from_nu(nu.entries, a, q) - q**b) // (q - 1)}, t.name
         assert rank_distribution_B(B, 10**9, 1, known) == nu, t.name
-        if _census_plan(q, b, a, a, True, (1,)) is not None:
+        if _cheaper(B, (1,))[0]:
             seeded.add(a)
             for off in (-1, 1):
                 with pytest.raises(InexactDivision):
@@ -376,7 +378,8 @@ def test_oversized_census_is_a_budget_error(monkeypatch):
     M = _one_form(make_field(101), 11)
     with pytest.raises(BudgetExceeded, match="64-bit"):
         rank_distribution(M, budget=10**30)
-    with pytest.raises(BudgetExceeded, match="exceeds budget"):
+    # the kernel census would rank one 1 x 1 matrix, but q^n is past int64
+    with pytest.raises(BudgetExceeded, match="64-bit"):
         rank_distribution(M)
     monkeypatch.undo()
     # q^1 is within the default budget, but O(q) element tables are refused
@@ -394,6 +397,26 @@ def test_theoremB_checks_both_budgets_before_either_census(monkeypatch):
         vectors_theoremB(free_table(2, 5, make_field(7)))
 
 
+def test_budget_counts_the_bases_the_walk_ranks(monkeypatch):
+    class Reached(Exception):
+        """A census started."""
+
+    def kernel(*args):
+        raise Reached
+
+    monkeypatch.setattr(pgc.enumctr, "stacked_ranks", kernel)
+    # f(3,3)/GF(7): 19,608 + 6,865,252 bases at the default budget, though
+    # B has 7^11 points
+    with pytest.raises(Reached):
+        vectors_theoremB(free_table(3, 3, make_field(7)))
+    # f(2,3)/Z5^5: 12,613,931 bases a side, though |g/z| = |g'^| = 5^15
+    with pytest.raises(Reached):
+        vectors_dual(free_table(2, 3, ModRing(5, 5)))
+    # f(2,5)/GF(7): B's cheaper census, the point census, ranks 2.3e9
+    with pytest.raises(BudgetExceeded, match="Theorem B would rank 960800 \\+ 2306881200 "):
+        vectors_theoremB(free_table(2, 5, make_field(7)))
+
+
 def test_oversized_dual_route_is_a_budget_error(monkeypatch):
     def kernel(*args):
         raise AssertionError("the kernel started")
@@ -404,16 +427,17 @@ def test_oversized_dual_route_is_a_budget_error(monkeypatch):
         vectors_dual(heisenberg(ModRing(7, 11)), budget=10**28)
     with pytest.raises(BudgetExceeded, match="64-bit point index"):
         vectors_dual(heisenberg(ModRing(3, 21)), budget=10**31)
-    with pytest.raises(BudgetExceeded, match="exceed budget"):
+    with pytest.raises(BudgetExceeded, match="exceeds budget"):
         vectors_dual(heisenberg(ModRing(3, 21)))
 
 
 def test_dual_route_budget_counts_the_points_ranked():
-    # |g/z| + |g'^| = 6561 + 81 points are ranked, not their product
-    cc, ch = vectors_dual(heisenberg(ModRing(3, 4)), budget=10**4)
+    # one generator per cyclic subgroup: 160 of g/z = (Z/81)^2 and 4 of
+    # g'^ = Z/81 are ranked, not the 6561 + 81 points
+    cc, ch = vectors_dual(heisenberg(ModRing(3, 4)), budget=164)
     assert cc.total() == ch.total()
-    with pytest.raises(BudgetExceeded, match="exceed budget"):
-        vectors_dual(heisenberg(ModRing(3, 4)), budget=6641)
+    with pytest.raises(BudgetExceeded, match="160 \\+ 4 bases, which exceeds budget 163"):
+        vectors_dual(heisenberg(ModRing(3, 4)), budget=163)
 
 
 def test_large_extension_field_census_allocates_no_qn_array():

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 import pgc
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -38,8 +40,8 @@ def test_tracer_records_the_censuses_on_the_kernel_route(monkeypatch):
 
     t = pgc.boston_isaacs_table(2, 11)
     A, _ = pgc.build_commutator_matrices(t)
-    levels = pgc.enumctr._census_plan(11, A.nvars, A.rows, A.cols, A.skew)
-    assert set(levels) == {1, 2, 3}
+    kernel, (bases, _, _) = pgc.enumctr._cheaper(A)
+    assert kernel and bases == 267
     tracer = Tracer()
     tracer.install()
     try:
@@ -93,3 +95,45 @@ def test_theoremB_ranks_each_census_matrix_once(monkeypatch):
         "g_alpha(2 mod 11)/GF(11)": 400, "f(2,4)/GF(7)": 2802, "f(4,2)/GF(7)": 401,
         "f(5,2)/GF(3)": 122, "f(2,3)/GF(25)": 651, "quadric(9)/GF(9)": 821,
         "f(3,2)/GF(9)": 91, "heis/GF(27)": 1}
+
+
+def _priced_and_ranked(route, table, monkeypatch):
+    """((bases, blocks), (bases, blocks)) of route(table): the first as the
+    route's budget check reads them off _price, summed over its censuses,
+    the second as build_stacks is handed them (bases, and calls)."""
+    priced, ranked = [], []
+    within, original = pgc.enumctr._within, pgc.commat.build_stacks
+
+    def recorded(budget, name, *prices):
+        priced.append(prices)
+        return within(budget, name, *prices)
+
+    def counted(fs, codes, exps, block):
+        ranked.append(sum(stop - start for _, start, stop in block))
+        return original(fs, codes, exps, block)
+
+    monkeypatch.setattr(pgc.enumctr, "_within", recorded)
+    monkeypatch.setattr(pgc.commat, "build_stacks", counted)
+    route(table)
+    monkeypatch.setattr(pgc.enumctr, "_within", within)
+    monkeypatch.setattr(pgc.commat, "build_stacks", original)
+    prices = priced[0]  # the route's own check; each census checks again
+    return ((sum(bases for bases, _, _ in prices), sum(blocks for _, blocks, _ in prices)),
+            (sum(ranked), len(ranked)))
+
+
+@pytest.mark.parametrize("chunk", [1 << 15, 7])
+def test_the_price_is_the_walk(chunk, monkeypatch):
+    # Theorem B prices A and B seeded at level 1 on every census table, the
+    # dual route both sides on every dual table of `routes`; with 7
+    # matrices a block, levels span many blocks
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tables import WORKLOADS, build
+
+    monkeypatch.setattr(pgc.enumctr, "_CHUNK", chunk)
+    cases = [(pgc.vectors_theoremB, entry) for entry in WORKLOADS["census"]]
+    cases += [(pgc.vectors_dual, entry) for entry in WORKLOADS["routes"] if entry[1] == "dual"]
+    assert len(cases) == 8 + 6
+    for route, (key, _, constructor, args) in cases:
+        priced, ranked = _priced_and_ranked(route, build(constructor, args), monkeypatch)
+        assert priced == ranked, key
