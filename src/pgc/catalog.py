@@ -4,18 +4,25 @@ prescribed class sizes or character degrees.
 All constructors list cocentre representatives first and the derived
 algebra last, so adapt_basis reads front = 0..a-1 and tail = h-b..h-1 off
 the echelon pivots, and A(X), B(Y) come out as the literature writes them.
+
+FAMILIES is the one registry of the families, a Family each: its
+constructor, parameters and claims, and for quadric and boston_isaacs the
+table names `verify` knows answers for and the route it checks them by.
+build_entry, CATALOG_NAMES, known_vectors and `pgc catalog` all read it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .field import make_field, prime_power
 from .liecore import LieRing, is_field
 from .commat import build_commutator_matrices, projective_rank_census
-from .enumctr import (CountVector, DEFAULT_BUDGET, _exact_div, _point_price, _within,
-                      rekey_q_to_p)
+from .enumctr import (CountVector, DEFAULT_BUDGET, _check_class, _exact_div, _point_price,
+                      _within, rekey_q_to_p)
 from .freenil import (UnknownFixture, char_vector_closed, class_vector_closed,
                       free_dimension)
 
@@ -25,9 +32,7 @@ class ZeroAlpha(ValueError):
 
 
 class HypothesesFailed(ValueError):
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +117,6 @@ class PfaffianReport:
     a: int
     b: int
     n: int
-    rank_set: set
-    line_condition: bool
 
 
 def pfaffian_case_vectors(table, budget=DEFAULT_BUDGET):
@@ -122,18 +125,18 @@ def pfaffian_case_vectors(table, budget=DEFAULT_BUDGET):
     the projective points of rank a-2; the three nonzero entries of each
     vector follow in closed form, keyed by exponents of p. Raises
     HypothesesFailed otherwise, and BudgetExceeded before the projective
-    census starts if its points (see enumctr._price) exceed budget."""
+    census starts if its points and lines (see enumctr._price) exceed
+    budget."""
     fs = table.ring
     if not is_field(fs):
         raise ValueError("pfaffian_case_vectors requires a field table")
     q, h = fs.q, table.h
     A, B = build_commutator_matrices(table)
     a, b = A.nvars, B.nvars
-    _within(budget, "the Pfaffian formula", _point_price(fs, B.codes.shape))
+    _within(budget, "the Pfaffian formula", _point_price(fs, B.codes.shape),
+            _point_price(fs, B.codes.shape, level=2))
     census, line_ok = projective_rank_census(B)
     n = census.get(a - 2, 0)
-    report = PfaffianReport(a=a, b=b, n=n, rank_set=set(census),
-                            line_condition=line_ok)
     if a <= 2:
         raise HypothesesFailed(f"a = {a} <= 2")
     if set(census) != {a - 2, a}:
@@ -156,11 +159,11 @@ def pfaffian_case_vectors(table, budget=DEFAULT_BUDGET):
     }
     k = (q ** (h - a) + q ** (h - b)
          + q ** (h - a - b) * (n * (q**2 - 1) * (q - 1) - 1))
-    return rekey_q_to_p(cc, q), rekey_q_to_p(ch, q), k, report
+    return rekey_q_to_p(cc, q), rekey_q_to_p(ch, q), k, PfaffianReport(a, b, n)
 
 
 # ---------------------------------------------------------------------------
-# entries for the command line
+# the registry of worked families
 
 
 @dataclass
@@ -180,35 +183,57 @@ def _quadric_expected(q):
             "k": sum(cc.values())}
 
 
+def _quadric_closed(table, budget, **_):
+    """_quadric_expected at the table's q, keyed by exponents of p."""
+    q = table.ring.q
+    exp = _quadric_expected(q)
+    return dict(exp, cc=rekey_q_to_p(exp["cc"], q), ch=rekey_q_to_p(exp["ch"], q))
+
+
+def _pfaffian_formula(table, budget, **_):
+    cc, ch, k, report = pfaffian_case_vectors(table, budget)
+    return {"cc": cc, "ch": ch, "k": k, "n": report.n}
+
+
+def _index_set(I):
+    """Sorted I, given as integers or as the text of `pgc catalog -I 1,3`."""
+    try:
+        return sorted({int(i) for i in (I.split(",") if isinstance(I, str) else I)})
+    except ValueError:
+        raise ValueError(f"bad index set {I!r}; expected e.g. 1,3") from None
+
+
+class Family(NamedTuple):
+    """A worked family: what build_entry, `pgc catalog` and `verify` know of it."""
+    constructor: Callable  # called with the parameters, in order
+    params: dict  # parameter -> its reader, in the order `pgc catalog` asks for them
+    claims: Callable  # (table, budget, **parameters) -> the entry's claims, as printed
+    pattern: str = None  # the names of the tables `verify` knows answers for:
+    route: str = None  # "closed" or "formula", the cc, ch and k of claims(table, budget)
+
+
+FAMILIES = {
+    "boston_isaacs": Family(boston_isaacs_table, {"alpha": int, "p": int}, _pfaffian_formula,
+                            r"g_alpha\(\d+ mod \d+\)", "formula"),
+    "quadric": Family(quadric_table, {"q": int}, _quadric_closed, r"quadric\(\d+\)", "closed"),
+    "isaacs_cd": Family(isaacs_cd_table, {"I": _index_set, "p": int},
+                        lambda table, budget, I, p: {"cd": {p**i for i in [0] + I}}),
+    "fm": Family(fm_table, {"l": int, "n": int, "p": int},
+                 lambda table, budget, l, n, p: {"cd": {1, p**l},
+                                                 "cs": {p**i for i in range(l + 1)} | {p**n}}),
+}
+CATALOG_NAMES = tuple(FAMILIES)
+
+
 def build_entry(name, **params):
-    """CatalogEntry by family name: boston_isaacs(alpha, p), quadric(q),
-    isaacs_cd(I, p), fm(l, n, p)."""
-    if name == "boston_isaacs":
-        alpha, p = params["alpha"], params["p"]
-        table = boston_isaacs_table(alpha, p)
-        cc, ch, k, report = pfaffian_case_vectors(table)
-        return CatalogEntry(name, {"alpha": alpha, "p": p}, table,
-                            {"cc": cc, "ch": ch, "k": k, "n": report.n})
-    if name == "quadric":
-        q = params["q"]
-        exp = _quadric_expected(q)
-        exp.update(cc=rekey_q_to_p(exp["cc"], q), ch=rekey_q_to_p(exp["ch"], q))
-        return CatalogEntry(name, {"q": q}, quadric_table(q), exp)
-    if name == "isaacs_cd":
-        I, p = sorted(set(params["I"])), params["p"]
-        table = isaacs_cd_table(I, p)
-        return CatalogEntry(name, {"I": I, "p": p}, table,
-                            {"cd": {p**i for i in [0] + I}})
-    if name == "fm":
-        l, n, p = params["l"], params["n"], params["p"]
-        table = fm_table(l, n, p)
-        return CatalogEntry(name, {"l": l, "n": n, "p": p}, table,
-                            {"cd": {1, p**l},
-                             "cs": {p**i for i in range(l + 1)} | {p**n}})
-    raise ValueError(f"unknown catalog family {name!r}")
-
-
-CATALOG_NAMES = ("boston_isaacs", "quadric", "isaacs_cd", "fm")
+    """CatalogEntry of FAMILIES[name], its parameters by keyword:
+    boston_isaacs(alpha, p), quadric(q), isaacs_cd(I, p), fm(l, n, p)."""
+    if name not in FAMILIES:
+        raise ValueError(f"unknown catalog family {name!r}")
+    family = FAMILIES[name]
+    params = {key: read(params[key]) for key, read in family.params.items()}
+    table = family.constructor(*params.values())
+    return CatalogEntry(name, params, table, family.claims(table, DEFAULT_BUDGET, **params))
 
 
 def free_closed_vectors(r, c, q):
@@ -223,14 +248,13 @@ def free_closed_vectors(r, c, q):
 
 
 def known_vectors(table, budget=DEFAULT_BUDGET):
-    """(label, path) for a field table named f(r,c), quadric(q) or
-    g_alpha(a mod p), else None. path() gives (cc, ch, k) keyed by
-    exponents of p ("closed" in closed form, "formula" by
-    pfaffian_case_vectors within budget) or raises HypothesesFailed, for
-    f(r,c) also when f(r,c) has more dimensions than the table."""
+    """(label, path) for a field table named f(r,c) or after a family with a
+    route (quadric(q), g_alpha(a mod p)), else None. path() gives (cc, ch,
+    k) keyed by exponents of p within budget, or raises HypothesesFailed
+    (for f(r,c) also when f(r,c) has more dimensions than the table) or,
+    for a family, ClassTooLarge unless the class is below p."""
     if not is_field(table.ring):
         return None
-    q = table.ring.q
     m = re.fullmatch(r"f\((\d+),(\d+)\)", table.name)
     if m:
         r, c = int(m.group(1)), int(m.group(2))
@@ -241,12 +265,14 @@ def known_vectors(table, budget=DEFAULT_BUDGET):
             d = free_dimension(r, c)
             if d > table.h:
                 raise HypothesesFailed(f"f({r},{c}) has dimension {d}, the table {table.h}")
-            return free_closed_vectors(r, c, q)
+            return free_closed_vectors(r, c, table.ring.q)
 
         return "closed", free
-    if re.fullmatch(r"quadric\(\d+\)", table.name):
-        exp = build_entry("quadric", q=q).expected
-        return "closed", lambda: (exp["cc"], exp["ch"], exp["k"])
-    if re.fullmatch(r"g_alpha\(\d+ mod \d+\)", table.name):
-        return "formula", lambda: pfaffian_case_vectors(table, budget)[:3]
+    for family in FAMILIES.values():
+        if family.route and re.fullmatch(family.pattern, table.name):
+            def known():
+                _check_class(table)
+                return itemgetter("cc", "ch", "k")(family.claims(table, budget))
+
+            return family.route, known
     return None

@@ -24,38 +24,15 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from .field import make_field, is_prime
-from .liecore import (
-    ModRing,
-    LieRing,
-    is_field,
-    validate,
-    centre,
-    derived,
-    lower_central_series,
-)
+from .liecore import (ModRing, LieRing, is_field, validate, centre, derived,
+                      lower_central_series)
 from .commat import BudgetExceeded, build_commutator_matrices
-from .enumctr import (
-    DEFAULT_BUDGET,
-    ClassTooLarge,
-    vectors_theoremB,
-    vectors_dual,
-    poly_fit,
-)
-from .freenil import (
-    free_table,
-    class_vector_closed,
-    class_number_closed,
-    char_vector_closed,
-    UnknownFixture,
-)
-from .lazard import (
-    DEFAULT_ORACLE_BUDGET,
-    conjugacy_census,
-    coadjoint_census,
-    NonPowerClass,
-    NonSquareOrbit,
-)
-from .catalog import (CATALOG_NAMES, HypothesesFailed, build_entry,
+from .enumctr import DEFAULT_BUDGET, ClassTooLarge, vectors_theoremB, vectors_dual, poly_fit
+from .freenil import (free_table, class_vector_closed, class_number_closed,
+                      char_vector_closed, UnknownFixture)
+from .lazard import (DEFAULT_ORACLE_BUDGET, conjugacy_census, coadjoint_census,
+                     NonPowerClass, NonSquareOrbit)
+from .catalog import (CATALOG_NAMES, FAMILIES, HypothesesFailed, build_entry,
                       free_closed_vectors, known_vectors)
 
 
@@ -380,21 +357,10 @@ def _cmd_oracle(args):
 
 
 def _cmd_catalog(args):
-    params = {}
-    if args.name == "boston_isaacs":
-        params = {"alpha": _require(args.alpha, "--alpha"),
-                  "p": _require(args.p, "-p")}
-    elif args.name == "quadric":
-        params = {"q": _require(args.q, "-q")}
-    elif args.name == "isaacs_cd":
-        raw, p = _require(args.I, "-I"), _require(args.p, "-p")
-        try:
-            params = {"I": [int(s) for s in raw.split(",")], "p": p}
-        except ValueError:
-            raise BadInput(f"bad index set {raw!r}; expected e.g. 1,3")
-    elif args.name == "fm":
-        params = {"l": _require(args.l, "-l"), "n": _require(args.n, "-n"),
-                  "p": _require(args.p, "-p")}
+    params = {key: getattr(args, key) for key in FAMILIES[args.name].params}
+    for key, val in params.items():
+        if val is None:
+            raise BadInput(f"catalog family needs {'--' if len(key) > 1 else '-'}{key}")
     entry = build_entry(args.name, **params)
     print(f"name {entry.table.name}")
     print(f"dim {entry.table.h}")
@@ -408,17 +374,10 @@ def _cmd_catalog(args):
         print(_render(exp["cc"], exp["ch"], exp["k"], entry.table.ring.p))
     if "n" in exp:
         print(f"n = {exp['n']}")
-    if "cd" in exp:
-        print("cd : " + " ".join(str(d) for d in sorted(exp["cd"])))
-    if "cs" in exp:
-        print("cs : " + " ".join(str(s) for s in sorted(exp["cs"])))
+    for key in ("cd", "cs"):
+        if key in exp:
+            print(f"{key} : " + " ".join(map(str, sorted(exp[key]))))
     return 0
-
-
-def _require(val, flag):
-    if val is None:
-        raise BadInput(f"catalog family needs {flag}")
-    return val
 
 
 @_any_length()

@@ -223,10 +223,11 @@ def _price(ring, size, shape, exps, levels, chunk, cap=None):
     return bases, blocks, work + blocks * _BLOCK_WORK
 
 
-def _point_price(ring, shape, exps=None):
-    """_price of _point_census of a form of shape (nvars, rows, cols)."""
+def _point_price(ring, shape, exps=None, level=1):
+    """_price of _point_census of a form of shape (nvars, rows, cols), or of
+    another level of its walk: level 2 ranks the projective lines."""
     n, R, C = shape
-    return _price(ring, R * C, (C, R, n), exps or (1,) * n, (1,), _CHUNK)
+    return _price(ring, R * C, (C, R, n), exps or (1,) * n, (level,), _CHUNK)
 
 
 def _within(budget, route, *prices):

@@ -2,14 +2,20 @@
 
 import pytest
 
+import pgc.commat
 from pgc import (
-    make_field,
+    make_field, LieRing,
     boston_isaacs_table, quadric_table, isaacs_cd_table, fm_table,
     pfaffian_case_vectors, build_entry,
     HypothesesFailed, ZeroAlpha, CATALOG_NAMES,
     validate, nilpotency_class, vectors_theoremB,
-    build_commutator_matrices, pfaffian,
+    build_commutator_matrices, pfaffian, free_table, BudgetExceeded, ClassTooLarge,
 )
+from pgc.catalog import FAMILIES, known_vectors
+
+# small parameters of every family, as `pgc catalog` takes them
+SMALL = {"boston_isaacs": {"alpha": 1, "p": 3}, "quadric": {"q": 3},
+         "isaacs_cd": {"I": [1, 2], "p": 3}, "fm": {"l": 2, "n": 3, "p": 5}}
 
 
 def test_catalog_tables_validate_class_2():
@@ -106,3 +112,49 @@ def test_build_entry_catalog_names():
     assert e.expected["cd"] == {1, 25}
     with pytest.raises(ValueError):
         build_entry("nonesuch")
+
+
+def test_known_vectors_follow_the_registry():
+    # a family gives verify a route only if it declares one, and that
+    # route gives the cc, ch and k its catalog entry claims
+    assert {name: f.route for name, f in FAMILIES.items() if f.route} == \
+        {"boston_isaacs": "formula", "quadric": "closed"}
+    assert tuple(SMALL) == CATALOG_NAMES == tuple(FAMILIES)
+    for name, params in SMALL.items():
+        entry = build_entry(name, **params)
+        known = known_vectors(entry.table)
+        if FAMILIES[name].route is None:
+            assert known is None, name
+            continue
+        label, path = known
+        assert label == FAMILIES[name].route
+        assert path() == tuple(entry.expected[key] for key in ("cc", "ch", "k"))
+
+
+@pytest.mark.parametrize("table, why", [
+    (quadric_table(2), "nilpotency class 2 >= p = 2"),
+    (quadric_table(4), "nilpotency class 2 >= p = 2"),
+    (LieRing(make_field(2), 3, {(0, 1): {2: 1}}, "g_alpha(1 mod 2)"),
+     "nilpotency class 2 >= p = 2"),
+    (free_table(2, 2, make_field(2)), "char 2 <= c = 2"),
+], ids=["quadric(2)", "quadric(4)", "g_alpha(1 mod 2)", "f(2,2)"])
+def test_known_answers_refuse_class_at_least_p(table, why):
+    _, path = known_vectors(table)
+    with pytest.raises(ClassTooLarge, match=f"^{why}$"):
+        path()
+
+
+def test_pfaffian_budget_counts_the_lines(monkeypatch):
+    # f(4,2)/GF(5): 3,906 projective points fit in 4000, its 508,431 lines do not
+    class Walked(Exception):
+        pass
+
+    def lines(*args):
+        raise Walked
+
+    monkeypatch.setattr(pgc.commat, "projective_lines", lines)
+    t = free_table(4, 2, make_field(5))
+    with pytest.raises(BudgetExceeded, match=r"rank 3906 \+ 508431 bases, .* budget 4000$"):
+        pfaffian_case_vectors(t, 4000)
+    with pytest.raises(Walked):
+        pfaffian_case_vectors(t)

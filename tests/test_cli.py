@@ -681,6 +681,21 @@ def test_catalog_reports_the_missing_flag(capsys):
     assert capsys.readouterr().err == "pgc: error: catalog family needs -p\n"
     assert run(["catalog", "isaacs_cd", "-p", "3"]) == 2
     assert capsys.readouterr().err == "pgc: error: catalog family needs -I\n"
+    # each family asks for its flags in order; the parser offers every family
+    for name, flags in CATALOG_FLAGS.items():
+        for given in range(len(flags)):
+            assert run(["catalog", name] + [t for flag in flags[:given] for t in flag]) == 2
+            assert capsys.readouterr().err == \
+                f"pgc: error: catalog family needs {flags[given][0]}\n"
+    assert run(["catalog", "--help"]) == 0
+    assert "{" + ",".join(pgc.catalog.CATALOG_NAMES) + "}" in capsys.readouterr().out
+    assert tuple(CATALOG_FLAGS) == pgc.catalog.CATALOG_NAMES
+
+
+# small parameters of every family, as flags in the order `pgc catalog` asks for them
+CATALOG_FLAGS = {"boston_isaacs": [("--alpha", "1"), ("-p", "3")], "quadric": [("-q", "3")],
+                 "isaacs_cd": [("-I", "1,2"), ("-p", "3")],
+                 "fm": [("-l", "2"), ("-n", "3"), ("-p", "5")]}
 
 
 def test_catalog_emit(tmp_path, capsys):
@@ -691,6 +706,17 @@ def test_catalog_emit(tmp_path, capsys):
     t = parse_lie(open(f).read())
     validate(t)
     assert t.h == 8 and t.name == "quadric(3)"
+    # every family's table passes verify; quadric(2) and quadric(4) have
+    # class 2 >= p, so their closed forms are refused like every other route
+    cases = [(name, sum(flags, ()), 0) for name, flags in CATALOG_FLAGS.items()]
+    for name, argv, code in cases + [("quadric", ("-q", q), code)
+                                     for q, code in (("9", 0), ("2", 3), ("4", 3))]:
+        assert run(["catalog", name, *argv, "--emit", f]) == 0
+        capsys.readouterr()
+        assert run(["verify", f]) == code, argv
+        out, err = capsys.readouterr()
+        assert out.endswith(" paths agree\n") if code == 0 else \
+            err == "pgc: error: no verification path applies within budget\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""The benchmark's per-layer tracer still finds the functions it wraps."""
+"""The benchmark's tooling still runs on the package: the per-layer tracer
+finds the functions it wraps, and pin.py reproduces the pinned answers."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -137,3 +139,24 @@ def test_the_price_is_the_walk(chunk, monkeypatch):
     for route, (key, _, constructor, args) in cases:
         priced, ranked = _priced_and_ranked(route, build(constructor, args), monkeypatch)
         assert priced == ranked, key
+
+
+def test_pin_reproduces_the_pinned_answers(monkeypatch):
+    # perfbench/pin.py rebuilds reference.json from the package's closed
+    # forms and Pfaffian formula; every table it answers without the
+    # oracle must still give the cc and ch pinned there
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from pin import independent
+    from tables import WORKLOADS, build
+
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    answered = set()
+    for key, _, constructor, args in (e for entries in WORKLOADS.values() for e in entries):
+        row = independent(constructor, args, build(constructor, args))
+        if row is not None:
+            _, cc, ch = row
+            assert {str(i): n for i, n in cc.items()} == reference[key]["cc"], key
+            assert {str(i): n for i, n in ch.items()} == reference[key]["ch"], key
+            answered.add(key)
+    assert {"quadric(3)/GF(3)", "quadric(9)/GF(9)", "g_alpha(1 mod 3)/GF(3)",
+            "g_alpha(2 mod 11)/GF(11)"} <= answered
